@@ -15,14 +15,13 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .dispersion import escape_time, growth_rate, natural_bc_residual, scan_band
+from .dispersion import escape_time, growth_rate, scan_band
 from .errors import (
     ConvergenceFailure,
     EigensolveFailure,
     EmptyBand,
     InsufficientGrowth,
     NonPositiveDensity,
-    NonPositiveHorizon,
     SingularStep,
     SlabRTError,
 )
@@ -135,6 +134,8 @@ def load_config(path: str) -> RunConfig:
 def _check(cfg: RunConfig):
     if cfg.n_samples < 2:
         raise ValueError("n_samples must be at least 2")
+    if cfg.workers < 0:
+        raise ValueError("workers must be nonnegative (0 means one per CPU)")
     bad = [f for f in cfg.formats if f not in FORMATS]
     if bad:
         raise ValueError(f"unknown output formats {bad}; choose from {FORMATS}")
@@ -225,18 +226,24 @@ def _svg_plot(path: str, series: list, title: str, xlabel: str, ylabel: str,
 # commands
 # ---------------------------------------------------------------------------
 
-def _band(cfg: RunConfig, numbers) -> tuple[float, float]:
+def _model(cfg: RunConfig):
+    return cfg.profile(), cfg.slab(), build_grid(cfg.n)
+
+
+def _scan(cfg: RunConfig):
+    """Scan the configured band (file values over the critical numbers'
+    defaults) on one worker per CPU unless workers is set; returns
+    (band, DispersionResult)."""
+    p, slab, grid = _model(cfg)
+    numbers = compute_critical_numbers(p, slab, grid, b=cfg.band_b)
     a = cfg.band_a if cfg.band_a is not None else numbers.band[0]
     b = cfg.band_b if cfg.band_b is not None else numbers.band[1]
-    return (a, b)
+    workers = cfg.workers if cfg.workers > 0 else (os.cpu_count() or 1)
+    return (a, b), scan_band(p, slab, grid, (a, b), cfg.n_samples, workers=workers)
 
 
 def cmd_check(cfg: RunConfig) -> int:
-    try:
-        report = validate_profile(cfg.profile())
-    except NonPositiveDensity as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    report = validate_profile(cfg.profile())
     payload = {
         "positive": report.positive,
         "rt_condition": report.rt_condition,
@@ -247,10 +254,12 @@ def cmd_check(cfg: RunConfig) -> int:
 
 
 def cmd_critical(cfg: RunConfig) -> int:
-    p = cfg.profile()
-    slab = cfg.slab()
-    grid = build_grid(cfg.n)
+    p, slab, grid = _model(cfg)
     numbers = compute_critical_numbers(p, slab, grid, b=cfg.band_b)
+    xi_c, b = numbers.band
+    if not xi_c < b:
+        raise ValueError(f"invalid band: critical frequency xi_c = {xi_c:g} "
+                         f"is not below the upper edge b = {b:g}")
     payload = {
         "mu_c_closed": numbers.mu_c,
         "mu_c_numerical": critical_viscosity_numerical(slab, grid),
@@ -266,20 +275,14 @@ def cmd_critical(cfg: RunConfig) -> int:
 
 
 def cmd_dispersion(cfg: RunConfig) -> int:
-    p = cfg.profile()
-    slab = cfg.slab()
-    grid = build_grid(cfg.n)
-    numbers = compute_critical_numbers(p, slab, grid, b=cfg.band_b)
-    band = _band(cfg, numbers)
-    workers = cfg.workers if cfg.workers > 0 else (os.cpu_count() or 1)
-    result = scan_band(p, slab, grid, band, cfg.n_samples, workers=workers)
+    band, result = _scan(cfg)
 
     rows = [(pt.xi, pt.lam, pt.alpha_residual, pt.iters) for pt in result.samples]
     _write_csv(os.path.join(cfg.out_dir, "dispersion.csv"),
                ["xi", "lambda", "alpha_residual", "iters"], rows)
     payload = {
         "Lambda": result.Lambda,
-        "LambdaStar": result.LambdaStar,
+        "LambdaStar": result.Lambda,
         "xi_star": result.xi_star,
         "lattice": [[pt.xi, pt.lam] for pt in result.lattice],
         "band": list(band),
@@ -298,9 +301,7 @@ def cmd_dispersion(cfg: RunConfig) -> int:
 
 
 def cmd_mode(cfg: RunConfig, xi: float) -> int:
-    p = cfg.profile()
-    slab = cfg.slab()
-    grid = build_grid(cfg.n)
+    p, slab, grid = _model(cfg)
     ms = growth_rate(p, slab, grid, xi)
     if ms is None:
         print(f"no growing mode at xi = {xi:g}", file=sys.stderr)
@@ -309,10 +310,8 @@ def cmd_mode(cfg: RunConfig, xi: float) -> int:
     rows = [(float(y), float(ps), float(ph), float(pv))
             for y, ps, ph, pv in zip(grid.nodes, psi_f, ms.phi, ms.pi)]
     _write_csv(os.path.join(cfg.out_dir, "mode.csv"), ["y", "psi", "phi", "pi"], rows)
-    r0, r1 = natural_bc_residual(ms, slab)
     payload = dict(ms.residuals)
-    payload.update({"bc_res_0": r0, "bc_res_1": r1, "lambda": ms.lam,
-                    "xi": ms.xi, "iters": ms.iters})
+    payload.update({"lambda": ms.lam, "xi": ms.xi, "iters": ms.iters})
     _write_json(os.path.join(cfg.out_dir, "residuals.json"), payload)
     if "svg" in cfg.formats:
         y = grid.nodes
@@ -324,9 +323,7 @@ def cmd_mode(cfg: RunConfig, xi: float) -> int:
 
 
 def cmd_evolve(cfg: RunConfig, xi: float) -> int:
-    p = cfg.profile()
-    slab = cfg.slab()
-    grid = build_grid(cfg.n)
+    p, slab, grid = _model(cfg)
     ms = growth_rate(p, slab, grid, xi)
     fs = ms.forms if ms is not None else assemble_forms(p, slab, grid, xi)
     if ms is not None:
@@ -374,17 +371,12 @@ def cmd_escape(cfg: RunConfig) -> int:
         return EXIT_INVALID
     Lambda = cfg.Lambda
     if Lambda is None:
-        p = cfg.profile()
-        slab = cfg.slab()
-        grid = build_grid(cfg.n)
-        numbers = compute_critical_numbers(p, slab, grid, b=cfg.band_b)
-        result = scan_band(p, slab, grid, _band(cfg, numbers), cfg.n_samples,
-                           workers=cfg.workers if cfg.workers > 0 else (os.cpu_count() or 1))
-        if result.LambdaStar is None:
+        _, result = _scan(cfg)
+        if result.Lambda is None:
             print("error: no growing lattice mode; supply --Lambda explicitly",
                   file=sys.stderr)
             return EXIT_NO_GROWING_MODE
-        Lambda = result.LambdaStar
+        Lambda = result.Lambda
     T = escape_time(Lambda, cfg.epsilon, cfg.m0 if cfg.m0 is not None else 1.0,
                     cfg.delta, cfg.variant)
     text = _write_json(os.path.join(cfg.out_dir, "escape.json"),
@@ -466,9 +458,6 @@ def main(argv=None) -> int:
             return cmd_evolve(cfg, cfg.xi)
         if args.command == "escape":
             return cmd_escape(cfg)
-    except NonPositiveHorizon as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
     except (NonPositiveDensity, EmptyBand, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

@@ -8,14 +8,13 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 import scipy.linalg as sla
 
-from .errors import ConvergenceFailure, EigensolveFailure, EmptyBand, NonPositiveHorizon
+from .errors import EigensolveFailure, EmptyBand, NonPositiveHorizon
 from .forms import FormSet, assemble_forms
 from .grid import SpectralGrid
 from .profiles import DensityProfile, SlabConfig
-from .variational import _ReducedPencil
+from .variational import _ReducedPencil, _bisect, _fix_sign
 
 FIXED_POINT_TOL = 1e-13
-BISECT_CAP = 200
 # discretization noise puts tiny imaginary parts on real eigenvalues
 REAL_EIG_TOL = 1e-8
 
@@ -58,14 +57,14 @@ class DispersionResult:
     """Sampled growth-rate curve plus the lattice values and their supremum.
 
     samples mirrors the positive-frequency curve to negative frequencies
-    (the rate is even in xi).  LambdaStar equals Lambda at the smallest
-    maximizing lattice frequency, which always lies in (2 Lambda / 3, Lambda].
+    (the rate is even in xi).  Lambda is the largest lattice rate and xi_star
+    the smallest lattice frequency attaining it; both are None when no
+    lattice frequency grows.
     """
 
     samples: list
     lattice: list
     Lambda: float | None
-    LambdaStar: float | None
     xi_star: float | None
 
 
@@ -83,48 +82,27 @@ class RealModeField:
     xi: float
 
 
-def growth_rate(p: DensityProfile, c: SlabConfig, grid: SpectralGrid, xi: float,
-                tol: float = FIXED_POINT_TOL) -> ModeSolution | None:
+def growth_rate(p: DensityProfile, c: SlabConfig, grid: SpectralGrid,
+                xi: float) -> ModeSolution | None:
     """Growth rate and mode shape at frequency xi, or None when stable.
 
     The rate is the unique root of the strictly increasing map
-    F(s) = s^2 + alpha(s).  F(0) = alpha(0) is negative exactly in the
-    unstable regime, and monotonicity gives the a-priori bracket
-    [0, sqrt(-alpha(0))], so plain bisection is guaranteed to converge.
-    The minimizer at the root is the mode shape; phi, pi and all residual
-    diagnostics are filled in before returning.
+    F(s) = s^2 + alpha(s); F(0) = alpha(0) is negative exactly in the
+    unstable regime.  The search starts from [0, sqrt(-alpha(0))], which
+    brackets the root only while alpha stays nonnegative above
+    sqrt(-alpha(0)); with slip walls below xi_c it does not, and the root
+    finder expands the bracket by doubling.  The minimizer at the root is
+    the mode shape; phi, pi and all residual diagnostics are filled in
+    before returning.
     """
     fs = assemble_forms(p, c, grid, xi)
-    red = _ReducedPencil(fs)
-    alpha0 = red.alpha(0.0)
+    red = _ReducedPencil(fs.Jm, fs.Gm, fs.E2m)
+    alpha0 = red.value(0.0)
     if alpha0 >= 0.0:
         return None
-
-    def F(s: float) -> float:
-        return s * s + red.alpha(s)
-
-    lo = 0.0
-    hi = math.sqrt(-alpha0)
-    grow = 0
-    while F(hi) < 0.0:
-        hi *= 2.0
-        grow += 1
-        if grow > 60:
-            raise ConvergenceFailure("could not bracket the growth-rate fixed point")
-    it = 0
-    while hi - lo > tol * max(1.0, hi):
-        it += 1
-        if it > BISECT_CAP:
-            raise ConvergenceFailure(f"fixed-point bisection exceeded {BISECT_CAP} steps")
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        if F(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    lam = 0.5 * (lo + hi)
-    aval, v = red.alpha_with_minimizer(lam)
+    lam, it = _bisect(lambda s: s * s + red.value(s) < 0.0, 0.0, math.sqrt(-alpha0),
+                      FIXED_POINT_TOL, "growth-rate fixed point")
+    aval, v = red.pair(lam)
     ms = ModeSolution(
         xi=float(xi), lam=lam, psi=v, phi=None, pi=None,
         residuals={"fixed_point_res": abs(aval + lam * lam)},
@@ -200,22 +178,6 @@ def reconstruct_mode(ms: ModeSolution, p: DensityProfile, c: SlabConfig) -> Mode
     return replace(ms, phi=phi, pi=pi, residuals=residuals)
 
 
-def natural_bc_residual(ms: ModeSolution, c: SlabConfig) -> tuple[float, float]:
-    """Endpoint defects of the slip conditions, normalized by max(1, |psi''|).
-
-    The conditions are natural, not imposed, so these must vanish under
-    grid refinement.
-    """
-    g = ms.forms.grid
-    psi_f = ms.psi_full()
-    d1 = g.D1 @ psi_f
-    d2 = g.D2 @ psi_f
-    scale = max(1.0, float(np.max(np.abs(d2))))
-    r0 = abs(d2[0] + (c.k0 / c.mu) * d1[0]) / scale
-    r1 = abs(d2[-1] - (c.k1 / c.mu) * d1[-1]) / scale
-    return r0, r1
-
-
 def companion_oracle(fs: FormSet):
     """Largest real eigenvalue of lam^2 Jm v + lam Gm v - E2m v = 0.
 
@@ -284,11 +246,7 @@ def companion_oracle(fs: FormSet):
         lam = float(lam_new)
         if done:
             break
-    v = v / np.sqrt(v @ fs.Jm @ v)
-    i = int(np.argmax(np.abs(v)))
-    if v[i] < 0:
-        v = -v
-    return lam, v
+    return lam, _fix_sign(v / np.sqrt(v @ fs.Jm @ v))
 
 
 def _lattice_frequencies(band: tuple[float, float], L: float) -> list[float]:
@@ -330,27 +288,20 @@ def scan_band(p: DensityProfile, c: SlabConfig, grid: SpectralGrid,
     else:
         modes = [solve(x) for x in all_xis]
 
-    by_xi = dict(zip(all_xis, modes))
-    pos = [
-        DispersionPoint(x, m.lam, m.residuals["fixed_point_res"], m.iters)
-        for x, m in zip(all_xis, modes) if m is not None
-    ]
+    growing = {x: DispersionPoint(x, m.lam, m.residuals["fixed_point_res"], m.iters)
+               for x, m in zip(all_xis, modes) if m is not None}
+    pos = list(growing.values())
     mirrored = [DispersionPoint(-pt.xi, pt.lam, pt.alpha_residual, pt.iters)
                 for pt in reversed(pos)]
     samples = mirrored + pos
 
-    lattice = [
-        DispersionPoint(x, by_xi[x].lam, by_xi[x].residuals["fixed_point_res"], by_xi[x].iters)
-        for x in lattice_xis if by_xi[x] is not None
-    ]
+    lattice = [growing[x] for x in lattice_xis if x in growing]
     if lattice:
         Lambda = max(pt.lam for pt in lattice)
         xi_star = min(pt.xi for pt in lattice if pt.lam == Lambda)
-        LambdaStar = Lambda
     else:
-        Lambda = LambdaStar = xi_star = None
-    return DispersionResult(samples=samples, lattice=lattice,
-                            Lambda=Lambda, LambdaStar=LambdaStar, xi_star=xi_star)
+        Lambda = xi_star = None
+    return DispersionResult(samples=samples, lattice=lattice, Lambda=Lambda, xi_star=xi_star)
 
 
 def real_fields(ms: ModeSolution, lambda_star: float, x_grid: np.ndarray) -> RealModeField:

@@ -73,12 +73,6 @@ class CrankNicolsonStepper:
                            w=w_new, dt=self.dt, history=state.history)
 
 
-def step(state: EvolveState, c: SlabConfig, fs: FormSet) -> EvolveState:
-    """Advance one trapezoidal step (factorizes the implicit matrix anew;
-    use CrankNicolsonStepper for long runs)."""
-    return CrankNicolsonStepper(c, fs, state.dt).step(state)
-
-
 def kinetic_energy(state: EvolveState, fs: FormSet) -> float:
     """Discrete energy (1/2) w' Jm w of the velocity amplitude."""
     return 0.5 * float(state.w @ fs.Jm @ state.w)

@@ -21,6 +21,7 @@ import numpy as np
 from .errors import ZeroFrequency
 from .grid import (
     SpectralGrid,
+    _interpolation_matrix,
     chebyshev_lobatto_nodes,
     clenshaw_curtis_weights,
     lobatto_barycentric_weights,
@@ -63,15 +64,7 @@ class _FineRule:
         m = 2 * n
         self.nodes = chebyshev_lobatto_nodes(m)
         self.w = clenshaw_curtis_weights(m)
-        bw = lobatto_barycentric_weights(n)
-        diff = self.nodes[:, None] - grid.nodes[None, :]
-        hit_i, hit_j = np.nonzero(diff == 0.0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            C = bw[None, :] / diff
-            R = C / C.sum(axis=1)[:, None]
-        R[hit_i, :] = 0.0
-        R[hit_i, hit_j] = 1.0
-        self.R = R
+        self.R = _interpolation_matrix(grid.nodes, lobatto_barycentric_weights(n), self.nodes)
 
 
 _FINE_RULES: dict[int, _FineRule] = {}
@@ -118,6 +111,12 @@ def slope_traces(g: SpectralGrid) -> tuple[np.ndarray, np.ndarray]:
     return g.D1[0, 1:-1].copy(), g.D1[-1, 1:-1].copy()
 
 
+def _dissipation_matrix(c: SlabConfig, g: SpectralGrid) -> np.ndarray:
+    """Interior matrix E0m of int mu |psi''|^2 - k1 |psi'(1)|^2 - k0 |psi'(0)|^2."""
+    t0, t1 = slope_traces(g)
+    return _sym(c.mu * curvature_matrix(g) - c.k1 * np.outer(t1, t1) - c.k0 * np.outer(t0, t0))
+
+
 def assemble_forms(p: DensityProfile, c: SlabConfig, g: SpectralGrid, xi: float) -> FormSet:
     """Assemble all five forms for frequency xi (xi = 0 is rejected)."""
     if xi == 0.0:
@@ -125,11 +124,9 @@ def assemble_forms(p: DensityProfile, c: SlabConfig, g: SpectralGrid, xi: float)
     xi2 = xi * xi
 
     t0, t1 = slope_traces(g)
-    K2 = curvature_matrix(g)
+    E0m = _dissipation_matrix(c, g)
     K1 = gradient_matrix(g)
     M = mass_matrix(g)
-
-    E0m = _sym(c.mu * K2 - c.k1 * np.outer(t1, t1) - c.k0 * np.outer(t0, t0))
     E1m = _sym(c.mu * (2.0 * K1 + xi2 * M))
     E2m = c.g * xi2 * mass_matrix(g, p.drho)
     Jm = _sym(gradient_matrix(g, p.rho) + xi2 * mass_matrix(g, p.rho))

@@ -128,18 +128,25 @@ def integrate(g: SpectralGrid, f: np.ndarray) -> float:
     return float(g.w @ f)
 
 
+def _interpolation_matrix(nodes: np.ndarray, bary_w: np.ndarray, x) -> np.ndarray:
+    """Points-by-nodes matrix mapping node values to the barycentric
+    interpolant at the points x; a point that coincides with a node gets
+    the exact unit row."""
+    diff = np.asarray(x, dtype=float)[:, None] - nodes[None, :]
+    hit_i, hit_j = np.nonzero(diff == 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        C = bary_w[None, :] / diff
+        R = C / C.sum(axis=1)[:, None]
+    R[hit_i, :] = 0.0
+    R[hit_i, hit_j] = 1.0
+    return R
+
+
 def barycentric_eval(nodes: np.ndarray, bary_w: np.ndarray, values: np.ndarray, x) -> np.ndarray:
     """Evaluate the interpolating polynomial at x (scalar or array).
 
     Points that coincide with a node return the node value exactly.
     """
     x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    xv = np.atleast_1d(x)
-    diff = xv[:, None] - nodes[None, :]
-    hit_i, hit_j = np.nonzero(diff == 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        c = bary_w[None, :] / diff
-        out = (c @ values) / c.sum(axis=1)
-    out[hit_i] = values[hit_j]
-    return float(out[0]) if scalar else out
+    out = _interpolation_matrix(nodes, bary_w, np.atleast_1d(x)) @ values
+    return float(out[0]) if x.ndim == 0 else out

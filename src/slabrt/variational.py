@@ -19,6 +19,8 @@ import scipy.linalg as sla
 from .errors import ConvergenceFailure, EigensolveFailure, NoRTPoint, NoSignChange
 from .forms import (
     FormSet,
+    _dissipation_matrix,
+    assemble_forms,
     c0_constant,
     curvature_matrix,
     gradient_matrix,
@@ -26,7 +28,7 @@ from .forms import (
     slope_traces,
 )
 from .grid import SpectralGrid
-from .profiles import DensityProfile, SlabConfig, validate_profile
+from .profiles import DensityProfile, SlabConfig, evaluation_points, validate_profile
 
 BISECT_TOL = 1e-10
 BISECT_CAP = 200
@@ -45,23 +47,77 @@ class CriticalNumbers:
     band: tuple[float, float]
 
 
-def _cholesky_lower(B: np.ndarray) -> np.ndarray:
-    try:
-        return sla.cholesky(B, lower=True)
-    except sla.LinAlgError as exc:
-        raise EigensolveFailure(f"pencil mass matrix is not positive definite: {exc}") from exc
-
-
-def _congruence(L: np.ndarray, A: np.ndarray) -> np.ndarray:
-    """L^{-1} A L^{-T} for symmetric A and lower-triangular L."""
-    Y = sla.solve_triangular(L, A, lower=True)
-    Z = sla.solve_triangular(L, Y.T, lower=True)
-    return 0.5 * (Z + Z.T)
-
-
 def _fix_sign(v: np.ndarray) -> np.ndarray:
     i = int(np.argmax(np.abs(v)))
     return -v if v[i] < 0 else v
+
+
+def _bisect(below, lo: float, hi: float, tol: float, what: str):
+    """Root of a monotone predicate: below(s) holds exactly for s < root.
+
+    No a-priori bracket is assumed: while below(hi) holds, lo moves up to hi
+    and hi doubles.  The bracket is then halved until its width is at most
+    tol * max(1, hi), a tolerance that scales with the root so a width
+    below the endpoint spacing cannot stall the midpoint.  Returns
+    (root, steps) with steps the number of halvings.
+    """
+    grow = 0
+    while below(hi):
+        lo, hi = hi, 2.0 * hi
+        grow += 1
+        if grow > 60:
+            raise ConvergenceFailure(f"could not bracket the {what}")
+    it = 0
+    while hi - lo > tol * max(1.0, hi):
+        it += 1
+        if it > BISECT_CAP:
+            raise ConvergenceFailure(f"{what} bisection exceeded {BISECT_CAP} steps")
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break
+        if below(mid):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi), it
+
+
+class _ReducedPencil:
+    """The pencil (s A1 - A0) v = theta B v with B positive definite,
+    reduced once through B = L L' to standard symmetric problems in
+    L^{-1} (s A1 - A0) L^{-T}.  Without A0 the pencil is A1 v = theta B v."""
+
+    def __init__(self, B: np.ndarray, A1: np.ndarray, A0: np.ndarray | None = None):
+        try:
+            self.L = sla.cholesky(B, lower=True)
+        except sla.LinAlgError as exc:
+            raise EigensolveFailure(f"pencil mass matrix is not positive definite: {exc}") from exc
+        self.B = B
+        self.A1t = self._congruence(A1)
+        self.A0t = None if A0 is None else self._congruence(A0)
+
+    def _congruence(self, A: np.ndarray) -> np.ndarray:
+        """L^{-1} A L^{-T} for symmetric A."""
+        Y = sla.solve_triangular(self.L, A, lower=True)
+        Z = sla.solve_triangular(self.L, Y.T, lower=True)
+        return 0.5 * (Z + Z.T)
+
+    def _at(self, s: float) -> np.ndarray:
+        return self.A1t if self.A0t is None else s * self.A1t - self.A0t
+
+    def value(self, s: float) -> float:
+        """Smallest eigenvalue at s, without eigenvectors."""
+        return float(sla.eigh(self._at(s), subset_by_index=[0, 0], eigvals_only=True)[0])
+
+    def pair(self, s: float = 1.0, largest: bool = False):
+        """Extreme eigenpair at s with v' B v = 1 and a deterministic sign
+        (largest-magnitude component positive)."""
+        At = self._at(s)
+        idx = At.shape[0] - 1 if largest else 0
+        vals, vecs = sla.eigh(At, subset_by_index=[idx, idx])
+        v = sla.solve_triangular(self.L, vecs[:, 0], lower=True, trans="T")
+        v = v / np.sqrt(v @ self.B @ v)
+        return float(vals[0]), _fix_sign(v)
 
 
 def pencil_extreme(A: np.ndarray, B: np.ndarray, largest: bool = False):
@@ -70,36 +126,7 @@ def pencil_extreme(A: np.ndarray, B: np.ndarray, largest: bool = False):
     Returns (theta, v) with v normalized to v' B v = 1 and a deterministic
     sign (largest-magnitude component positive).
     """
-    L = _cholesky_lower(B)
-    At = _congruence(L, A)
-    m = At.shape[0]
-    idx = m - 1 if largest else 0
-    vals, vecs = sla.eigh(At, subset_by_index=[idx, idx])
-    u = vecs[:, 0]
-    v = sla.solve_triangular(L, u, lower=True, trans="T")
-    v = v / np.sqrt(v @ B @ v)
-    return float(vals[0]), _fix_sign(v)
-
-
-class _ReducedPencil:
-    """Jm-reduced pencil for repeated alpha evaluations at one frequency."""
-
-    def __init__(self, fs: FormSet):
-        self.fs = fs
-        self.L = _cholesky_lower(fs.Jm)
-        self.Gt = _congruence(self.L, fs.Gm)
-        self.E2t = _congruence(self.L, fs.E2m)
-
-    def alpha(self, s: float) -> float:
-        At = s * self.Gt - self.E2t
-        return float(sla.eigh(At, subset_by_index=[0, 0], eigvals_only=True)[0])
-
-    def alpha_with_minimizer(self, s: float):
-        At = s * self.Gt - self.E2t
-        vals, vecs = sla.eigh(At, subset_by_index=[0, 0])
-        v = sla.solve_triangular(self.L, vecs[:, 0], lower=True, trans="T")
-        v = v / np.sqrt(v @ self.fs.Jm @ v)
-        return float(vals[0]), _fix_sign(v)
+    return _ReducedPencil(B, A).pair(largest=largest)
 
 
 def alpha(fs: FormSet, s: float):
@@ -109,7 +136,7 @@ def alpha(fs: FormSet, s: float):
     Raises EigensolveFailure when Jm is not positive definite (which signals
     an invalid density profile).
     """
-    return _ReducedPencil(fs).alpha_with_minimizer(s)
+    return _ReducedPencil(fs.Jm, fs.Gm, fs.E2m).pair(s)
 
 
 def critical_viscosity_closed_form(c: SlabConfig) -> float:
@@ -143,8 +170,7 @@ def critical_viscosity_numerical(c: SlabConfig, grid: SpectralGrid) -> float:
     return max(0.0, val)
 
 
-def critical_frequency(c: SlabConfig, grid: SpectralGrid,
-                       tol: float = BISECT_TOL, max_iter: int = BISECT_CAP) -> float:
+def critical_frequency(c: SlabConfig, grid: SpectralGrid) -> float:
     """Lower edge of the frequency band on which the dissipation form wins.
 
     Returns 0 when mu >= mu_c.  Otherwise solves the self-referential
@@ -154,10 +180,7 @@ def critical_frequency(c: SlabConfig, grid: SpectralGrid,
     """
     if c.mu >= critical_viscosity_closed_form(c):
         return 0.0
-    t0v, t1v = slope_traces(grid)
-    negE0 = -(c.mu * curvature_matrix(grid)
-              - c.k1 * np.outer(t1v, t1v) - c.k0 * np.outer(t0v, t0v))
-    negE0 = 0.5 * (negE0 + negE0.T)
+    negE0 = -_dissipation_matrix(c, grid)
     K1 = gradient_matrix(grid)
     M = mass_matrix(grid)
 
@@ -165,29 +188,8 @@ def critical_frequency(c: SlabConfig, grid: SpectralGrid,
         val, _ = pencil_extreme(negE0, c.mu * (2.0 * K1 + t * M), largest=True)
         return val
 
-    lo = 0.0
-    hi = 1.0
-    grow = 0
-    while h(hi) > hi:
-        lo, hi = hi, 2.0 * hi
-        grow += 1
-        if grow > 60:
-            raise ConvergenceFailure("could not bracket the critical frequency")
-    it = 0
-    # tolerance scales with the bracket: xi_c^2 grows like k^2/mu and an
-    # absolute width below the endpoint spacing would stall the midpoint
-    while hi - lo > tol * max(1.0, hi):
-        it += 1
-        if it > max_iter:
-            raise ConvergenceFailure(f"critical-frequency bisection exceeded {max_iter} steps")
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        if h(mid) > mid:
-            lo = mid
-        else:
-            hi = mid
-    return float(np.sqrt(0.5 * (lo + hi)))
+    t_star, _ = _bisect(lambda t: h(t) > t, 0.0, 1.0, BISECT_TOL, "critical frequency")
+    return float(np.sqrt(t_star))
 
 
 def bump_values(y: np.ndarray, center: float, width: float) -> np.ndarray:
@@ -209,8 +211,6 @@ def _bump_center(p: DensityProfile) -> float:
     gradients), where no interior bump fits; any heavy-over-light point is
     admissible for the bound construction, so maximize wall clearance.
     """
-    from .profiles import evaluation_points
-
     ys = evaluation_points()
     d = np.asarray(p.drho(ys), dtype=float)
     ok = (d > 0.0) & (ys > 0.0) & (ys < 1.0)
@@ -266,7 +266,7 @@ def upper_bound_constants(p: DensityProfile, c: SlabConfig, grid: SpectralGrid,
     return C1, C2
 
 
-def frak_S(fs: FormSet, tol: float = BISECT_TOL, s_cap: float = 1e6) -> float:
+def frak_S(fs: FormSet, s_cap: float = 1e6) -> float:
     """Infimum of the rates at which the frozen-rate energy turns positive.
 
     Bisection on the sign of alpha(s): the lower end of the bracket starts
@@ -274,31 +274,22 @@ def frak_S(fs: FormSet, tol: float = BISECT_TOL, s_cap: float = 1e6) -> float:
     doubling.  Returns 0 in the degenerate all-positive case and +inf (with
     a NoSignChange warning) when alpha stays negative up to s_cap.
     """
-    red = _ReducedPencil(fs)
-    if red.alpha(0.0) >= 0.0:
+    red = _ReducedPencil(fs.Jm, fs.Gm, fs.E2m)
+    if red.value(0.0) >= 0.0:
         return 0.0
-    lo, hi = 0.0, 1.0
-    while red.alpha(hi) <= 0.0:
-        lo, hi = hi, 2.0 * hi
-        if hi > s_cap:
-            warnings.warn(
-                f"alpha stayed negative up to s = {s_cap:g}; threshold effectively infinite",
-                NoSignChange,
-            )
-            return float("inf")
-    it = 0
-    while hi - lo > tol * max(1.0, hi):
-        it += 1
-        if it > BISECT_CAP:
-            raise ConvergenceFailure(f"sign bisection exceeded {BISECT_CAP} steps")
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        if red.alpha(mid) <= 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+
+    def below(s: float) -> bool:
+        # the warning doubles as the signal that stops the doubling at s_cap
+        if s > s_cap:
+            raise NoSignChange(
+                f"alpha stayed negative up to s = {s_cap:g}; threshold effectively infinite")
+        return red.value(s) <= 0.0
+
+    try:
+        return _bisect(below, 0.0, 1.0, BISECT_TOL, "alpha sign change")[0]
+    except NoSignChange as exc:
+        warnings.warn(exc)
+        return float("inf")
 
 
 def compute_critical_numbers(p: DensityProfile, c: SlabConfig, grid: SpectralGrid,
@@ -315,8 +306,6 @@ def compute_critical_numbers(p: DensityProfile, c: SlabConfig, grid: SpectralGri
     rate at which the frozen-rate energy turns positive) depends on the
     frequency, so it is filled only when frak_at is given.
     """
-    from .forms import assemble_forms
-
     C0 = c0_constant(c)
     mu_c = critical_viscosity_closed_form(c)
     xi_c = 0.0 if c.mu >= mu_c else critical_frequency(c, grid)

@@ -22,7 +22,6 @@ from slabrt import (
     growth_rate,
     kinetic_energy,
     mode_initial_state,
-    natural_bc_residual,
     preset_profile,
     scan_band,
     simulate,
@@ -91,7 +90,7 @@ def test_criterion_3_strong_form_and_natural_bcs(up, default_modes):
     with _Criterion(3, "fourth-order equation + natural boundary conditions", 30.0):
         ms = default_modes[2.0]
         assert ms.residuals["ode_res"] <= 1e-5
-        r0, r1 = natural_bc_residual(ms, DEFAULT)
+        r0, r1 = ms.residuals["bc_res_0"], ms.residuals["bc_res_1"]
         assert r0 <= 1e-4 and r1 <= 1e-4
         # decrease under doubling, demonstrated where truncation dominates:
         # by n = 64 the mode is converged to the roundoff floor of the
@@ -99,7 +98,7 @@ def test_criterion_3_strong_form_and_natural_bcs(up, default_modes):
         res = {}
         for n in (16, 32):
             m = growth_rate(up, DEFAULT, build_grid(n), 2.0)
-            res[n] = (m.residuals["ode_res"],) + natural_bc_residual(m, DEFAULT)
+            res[n] = tuple(m.residuals[k] for k in ("ode_res", "bc_res_0", "bc_res_1"))
         print(f"  residuals n=16 {res[16]}")
         print(f"  residuals n=32 {res[32]}")
         print(f"  residuals n=128 {(ms.residuals['ode_res'], r0, r1)}")

@@ -277,6 +277,36 @@ def test_inverted_band_rejected(tmp_path):
                  str(tmp_path / "o")]) == 2
 
 
+SLIP_BELOW_XI_C = ["--preset", "tanh-layer", "--mu", "0.02", "--k0", "0.5", "--k1", "1.0"]
+
+
+def test_critical_rejects_band_below_xi_c(unstable_cfg, tmp_path, capsys):
+    # xi_c is about 25 here, above the configured upper edge b = 5
+    out = tmp_path / "crit"
+    assert main(["critical", "--config", unstable_cfg, "--out", str(out)]
+                + SLIP_BELOW_XI_C) == 2
+    err = capsys.readouterr().err
+    assert "xi_c" in err and "b = 5" in err
+    assert not (out / "critical.json").exists()
+
+
+def test_dispersion_scans_explicit_band_below_xi_c(tmp_path):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(
+        "[profile]\npreset = linear-up\n[physics]\nmu = 0.01\n"
+        "[grid]\nn = 64\n[band]\na = 1.0\nb = 5.0\n[scan]\nn_samples = 4\n"
+    )
+    out = tmp_path / "o"
+    assert main(["dispersion", "--config", str(cfg), "--out", str(out)]
+                + SLIP_BELOW_XI_C) == 0
+    assert json.loads((out / "summary.json").read_text())["band"] == [1.0, 5.0]
+
+
+def test_negative_workers_rejected(unstable_cfg, tmp_path):
+    assert main(["dispersion", "--config", unstable_cfg, "--out", str(tmp_path / "o"),
+                 "--workers", "-5"]) == 2
+
+
 def test_tanh_layer_config_parameters(tmp_path, capsys):
     cfg = tmp_path / "run.ini"
     cfg.write_text(

@@ -3,6 +3,7 @@ import pytest
 
 from slabrt import (
     SlabConfig,
+    alpha,
     assemble_forms,
     build_grid,
     c0_constant,
@@ -10,7 +11,7 @@ from slabrt import (
     constant_profile,
     escape_time,
     growth_rate,
-    natural_bc_residual,
+    preset_profile,
     real_fields,
     reconstruct_mode,
     scan_band,
@@ -95,8 +96,8 @@ def test_fourth_order_equation_residual(default_mode):
 
 
 def test_natural_bc_residuals_small(default_mode, default_config):
-    r0, r1 = natural_bc_residual(default_mode, default_config)
-    assert r0 <= 1e-4 and r1 <= 1e-4
+    r = default_mode.residuals
+    assert r["bc_res_0"] <= 1e-4 and r["bc_res_1"] <= 1e-4
 
 
 def test_natural_bc_residual_decreases_while_underresolved(profile_up, default_config):
@@ -104,7 +105,7 @@ def test_natural_bc_residual_decreases_while_underresolved(profile_up, default_c
     res = {}
     for n in (16, 32):
         ms = growth_rate(profile_up, default_config, build_grid(n), 2.0)
-        res[n] = natural_bc_residual(ms, default_config)
+        res[n] = (ms.residuals["bc_res_0"], ms.residuals["bc_res_1"])
     assert res[32][0] < res[16][0]
     assert res[32][1] < res[16][1]
 
@@ -117,8 +118,21 @@ def test_slip_config_mode(profile_up, grid128):
     assert ms.residuals["fixed_point_res"] <= 1e-8
     lam_hat, _ = companion_oracle(ms.forms)
     assert abs(lam_hat - ms.lam) / lam_hat <= 1e-6
-    r0, r1 = natural_bc_residual(ms, c)
-    assert r0 <= 1e-4 and r1 <= 1e-4
+    assert ms.residuals["bc_res_0"] <= 1e-4 and ms.residuals["bc_res_1"] <= 1e-4
+
+
+@pytest.mark.parametrize("xi", [2.0, 4.0])
+def test_growth_rate_expands_bracket_below_xi_c(grid64, xi):
+    # slip walls below xi_c: alpha is negative again at sqrt(-alpha(0)), so
+    # the starting interval does not bracket the rate and has to expand
+    p = preset_profile("tanh-layer")
+    c = SlabConfig(mu=0.02, g=1.0, k0=0.5, k1=1.0, L=1.0)
+    fs = assemble_forms(p, c, grid64, xi)
+    s0 = np.sqrt(-alpha(fs, 0.0)[0])
+    assert s0 * s0 + alpha(fs, s0)[0] < 0.0
+    ms = growth_rate(p, c, grid64, xi)
+    lam_hat, _ = companion_oracle(ms.forms)
+    assert abs(lam_hat - ms.lam) / lam_hat <= 1e-6
 
 
 def test_grid_convergence_of_rate(profile_up, default_config):
@@ -136,10 +150,9 @@ def test_scan_supremum_selection(profile_up, default_config, grid64):
     res = scan_band(profile_up, default_config, grid64, (1.0, 5.0), 8)
     lams = {pt.xi: pt.lam for pt in res.lattice}
     assert res.Lambda == max(lams.values())
-    assert res.LambdaStar == res.Lambda
     assert lams[res.xi_star] == res.Lambda
-    # the selected value trivially sits in (2 Lambda / 3, Lambda]
-    assert 2.0 * res.Lambda / 3.0 < res.LambdaStar <= res.Lambda
+    # xi_star is the smallest maximizing lattice frequency
+    assert all(lam < res.Lambda for xi, lam in lams.items() if xi < res.xi_star)
 
 
 def test_scan_parity_mirroring(profile_up, default_config, grid64):
@@ -190,7 +203,7 @@ def test_scan_stable_config_is_empty(profile_down, grid64):
     c = SlabConfig(mu=0.5, g=1.0, k0=-1.0, k1=-0.5, L=1.0)
     res = scan_band(profile_down, c, grid64, (0.5, 6.0), 6)
     assert res.samples == [] and res.lattice == []
-    assert res.Lambda is None and res.LambdaStar is None and res.xi_star is None
+    assert res.Lambda is None and res.xi_star is None
 
 
 def test_real_fields_structure(default_mode, default_config):

@@ -11,7 +11,6 @@ from slabrt import (
     kinetic_energy,
     mode_initial_state,
     simulate,
-    step,
 )
 from slabrt.errors import InsufficientGrowth
 
@@ -20,8 +19,9 @@ def test_zero_initial_data_stays_zero(profile_up, default_config, grid64):
     fs = assemble_forms(profile_up, default_config, grid64, 2.0)
     state = EvolveState(xi=2.0, t=0.0, sigma=np.zeros(grid64.n),
                         w=np.zeros(grid64.n - 2), dt=1e-3)
+    stepper = CrankNicolsonStepper(default_config, fs, state.dt)
     for _ in range(5):
-        state = step(state, default_config, fs)
+        state = stepper.step(state)
     assert np.all(state.w == 0.0)
     assert np.all(state.sigma == 0.0)
 
@@ -64,7 +64,7 @@ def test_balance_residual_zero_state(profile_up, default_config, grid64):
     fs = assemble_forms(profile_up, default_config, grid64, 2.0)
     z = EvolveState(xi=2.0, t=0.0, sigma=np.zeros(grid64.n),
                     w=np.zeros(grid64.n - 2), dt=1e-3)
-    z2 = step(z, default_config, fs)
+    z2 = CrankNicolsonStepper(default_config, fs, z.dt).step(z)
     assert energy_balance_residual(z, z2, default_config, fs) == 0.0
 
 

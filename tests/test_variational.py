@@ -16,7 +16,8 @@ from slabrt import (
     preset_profile,
     upper_bound_constants,
 )
-from slabrt.errors import NoRTPoint, NoSignChange
+from slabrt.errors import ConvergenceFailure, NoRTPoint, NoSignChange
+from slabrt.variational import _bisect
 
 
 def test_alpha_nonnegative_for_stable_profile(profile_down, grid64):
@@ -247,3 +248,29 @@ def test_compute_critical_numbers_stable_profile(profile_down, grid64):
     assert nums.mu_c == 0.0 and nums.xi_c == 0.0
     assert nums.band[0] == 0.0
     assert nums.C1 is None and nums.C2 is None
+
+
+def test_bisect_expands_bracket_above_initial_hi():
+    # below(1) and below(2) hold, so the bracket grows to [2, 4]; hi then
+    # settles at 3 and 10 halvings reach a width 2**-9 <= 2**-10 * 3
+    root, steps = _bisect(lambda s: s < 3.0, 0.0, 1.0, 2.0**-10, "test root")
+    assert steps == 10
+    assert abs(root - 3.0) <= 2.0**-10
+
+
+def test_bisect_root_inside_initial_bracket():
+    root, steps = _bisect(lambda s: s < 0.3, 0.0, 1.0, 1e-12, "test root")
+    assert abs(root - 0.3) <= 1e-12
+    assert steps == 40  # 2**-40 <= 1e-12 < 2**-39
+
+
+def test_bisect_bracket_failure_names_the_root():
+    with pytest.raises(ConvergenceFailure, match="could not bracket the test root"):
+        _bisect(lambda s: True, 0.0, 1.0, 1e-10, "test root")
+
+
+def test_bisect_step_cap_names_the_root():
+    # a root at 0 with zero tolerance halves towards the subnormals, far
+    # past the step cap
+    with pytest.raises(ConvergenceFailure, match="test root bisection exceeded"):
+        _bisect(lambda s: s < 0.0, 0.0, 1.0, 0.0, "test root")
