@@ -42,6 +42,9 @@ EXIT_NO_GROWING_MODE = 3
 EXIT_NO_CONVERGENCE = 4
 
 FORMATS = ("csv", "json", "svg")
+# a grid holds about a dozen dense n x n matrices; caps keep memory bounded
+MAX_NODES = 1024
+MAX_SAMPLES = 10000
 
 
 @dataclass
@@ -70,7 +73,6 @@ class RunConfig:
     delta: float | None = None
     variant: str = "A"
     Lambda: float | None = None
-    workers: int = 0  # 0 -> cpu count
 
     def slab(self) -> SlabConfig:
         return SlabConfig(mu=self.mu, g=self.g, k0=self.k0, k1=self.k1, L=self.L)
@@ -134,8 +136,10 @@ def load_config(path: str) -> RunConfig:
 def _check(cfg: RunConfig):
     if cfg.n_samples < 2:
         raise ValueError("n_samples must be at least 2")
-    if cfg.workers < 0:
-        raise ValueError("workers must be nonnegative (0 means one per CPU)")
+    if cfg.n_samples > MAX_SAMPLES:
+        raise ValueError(f"n_samples = {cfg.n_samples} exceeds the cap of {MAX_SAMPLES}")
+    if cfg.n > MAX_NODES:
+        raise ValueError(f"n = {cfg.n} exceeds the cap of {MAX_NODES} nodes")
     bad = [f for f in cfg.formats if f not in FORMATS]
     if bad:
         raise ValueError(f"unknown output formats {bad}; choose from {FORMATS}")
@@ -232,14 +236,12 @@ def _model(cfg: RunConfig):
 
 def _scan(cfg: RunConfig):
     """Scan the configured band (file values over the critical numbers'
-    defaults) on one worker per CPU unless workers is set; returns
-    (band, DispersionResult)."""
+    defaults); returns (band, DispersionResult)."""
     p, slab, grid = _model(cfg)
     numbers = compute_critical_numbers(p, slab, grid, b=cfg.band_b)
     a = cfg.band_a if cfg.band_a is not None else numbers.band[0]
     b = cfg.band_b if cfg.band_b is not None else numbers.band[1]
-    workers = cfg.workers if cfg.workers > 0 else (os.cpu_count() or 1)
-    return (a, b), scan_band(p, slab, grid, (a, b), cfg.n_samples, workers=workers)
+    return (a, b), scan_band(p, slab, grid, (a, b), cfg.n_samples)
 
 
 def cmd_check(cfg: RunConfig) -> int:
@@ -413,7 +415,6 @@ def _parser() -> argparse.ArgumentParser:
         sp.add_argument("--delta", type=float)
         sp.add_argument("--variant", choices=("A", "B"))
         sp.add_argument("--Lambda", type=float)
-        sp.add_argument("--workers", type=int)
     return ap
 
 
@@ -424,7 +425,7 @@ def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
     if args.formats is not None:
         updates["formats"] = tuple(s.strip() for s in args.formats.split(",") if s.strip())
     for name in ("preset", "mu", "g", "k0", "k1", "L", "n", "n_samples", "xi",
-                 "epsilon", "m0", "delta", "variant", "Lambda", "workers"):
+                 "epsilon", "m0", "delta", "variant", "Lambda"):
         v = getattr(args, name, None)
         if v is not None:
             updates[name] = v

@@ -2,7 +2,6 @@
 band/lattice scans and the escape-time formula."""
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -108,14 +107,14 @@ def growth_rate(p: DensityProfile, c: SlabConfig, grid: SpectralGrid,
         residuals={"fixed_point_res": abs(aval + lam * lam)},
         iters=it, forms=fs,
     )
-    return reconstruct_mode(ms, p, c)
+    return reconstruct_mode(ms, c)
 
 
 def _wnorm(w: np.ndarray, f: np.ndarray) -> float:
     return float(np.sqrt(w @ (f * f)))
 
 
-def reconstruct_mode(ms: ModeSolution, p: DensityProfile, c: SlabConfig) -> ModeSolution:
+def reconstruct_mode(ms: ModeSolution, c: SlabConfig) -> ModeSolution:
     """Fill phi = -psi'/xi and pi from the mode shape; store all residuals.
 
     The horizontal velocity amplitude and the pressure follow from the
@@ -217,10 +216,11 @@ def companion_oracle(fs: FormSet):
         vals, _ = sla.eig(A, B)
     except sla.LinAlgError as exc:
         raise EigensolveFailure(f"companion eigensolve failed: {exc}") from exc
-    vals = theta * vals
+    # a singular Jm gives infinite eigenvalues; scaling them would make inf * 0
+    vals = theta * vals[np.isfinite(vals)]
 
     real = np.abs(vals.imag) <= REAL_EIG_TOL * (1.0 + np.abs(vals.real))
-    good = real & np.isfinite(vals.real) & (vals.real > 0.0)
+    good = real & (vals.real > 0.0)
     if not np.any(good):
         return None
     lam = float(np.max(vals.real[good]))
@@ -257,8 +257,7 @@ def _lattice_frequencies(band: tuple[float, float], L: float) -> list[float]:
 
 
 def scan_band(p: DensityProfile, c: SlabConfig, grid: SpectralGrid,
-              band: tuple[float, float], n_samples: int,
-              workers: int = 1) -> DispersionResult:
+              band: tuple[float, float], n_samples: int) -> DispersionResult:
     """Sample the growth-rate curve over the band and take the lattice sup.
 
     n_samples frequencies are placed uniformly strictly inside (a, b), the
@@ -279,14 +278,7 @@ def scan_band(p: DensityProfile, c: SlabConfig, grid: SpectralGrid,
     uniform = [a + (b - a) * (i + 1) / (n_samples + 1) for i in range(n_samples)]
     all_xis = sorted(set(uniform) | set(lattice_xis))
 
-    def solve(x: float):
-        return growth_rate(p, c, grid, x)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            modes = list(ex.map(solve, all_xis))
-    else:
-        modes = [solve(x) for x in all_xis]
+    modes = [growth_rate(p, c, grid, x) for x in all_xis]
 
     growing = {x: DispersionPoint(x, m.lam, m.residuals["fixed_point_res"], m.iters)
                for x, m in zip(all_xis, modes) if m is not None}

@@ -14,6 +14,7 @@ conditions, which was measured to leave an O(0.1) defect in the strong-form
 equation residual.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,26 +57,13 @@ class FormSet:
     drho_nodes: np.ndarray
 
 
-class _FineRule:
-    """Doubled Clenshaw-Curtis rule plus the coarse-to-fine resampling map."""
-
-    def __init__(self, grid: SpectralGrid):
-        n = grid.n
-        m = 2 * n
-        self.nodes = chebyshev_lobatto_nodes(m)
-        self.w = clenshaw_curtis_weights(m)
-        self.R = _interpolation_matrix(grid.nodes, lobatto_barycentric_weights(n), self.nodes)
-
-
-_FINE_RULES: dict[int, _FineRule] = {}
-
-
-def _fine_rule(grid: SpectralGrid) -> _FineRule:
-    rule = _FINE_RULES.get(grid.n)
-    if rule is None:
-        rule = _FineRule(grid)
-        _FINE_RULES[grid.n] = rule
-    return rule
+@functools.cache
+def _fine_rule(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nodes and weights of the doubled Clenshaw-Curtis rule plus the
+    resampling matrix from the n-node grid onto it."""
+    fine = chebyshev_lobatto_nodes(2 * n)
+    R = _interpolation_matrix(chebyshev_lobatto_nodes(n), lobatto_barycentric_weights(n), fine)
+    return fine, clenshaw_curtis_weights(2 * n), R
 
 
 def _sym(A: np.ndarray) -> np.ndarray:
@@ -85,9 +73,9 @@ def _sym(A: np.ndarray) -> np.ndarray:
 def _gram(grid: SpectralGrid, A: np.ndarray | None, weight=None) -> np.ndarray:
     """Interior Gram matrix of int weight(y) (A psi)(A phi) dy, A defaulting
     to the identity, evaluated on the fine rule."""
-    rule = _fine_rule(grid)
-    FA = rule.R if A is None else rule.R @ A
-    wq = rule.w if weight is None else rule.w * weight(rule.nodes)
+    nodes, w, R = _fine_rule(grid.n)
+    FA = R if A is None else R @ A
+    wq = w if weight is None else w * weight(nodes)
     return _sym((FA.T @ (wq[:, None] * FA))[1:-1, 1:-1])
 
 
@@ -111,10 +99,28 @@ def slope_traces(g: SpectralGrid) -> tuple[np.ndarray, np.ndarray]:
     return g.D1[0, 1:-1].copy(), g.D1[-1, 1:-1].copy()
 
 
-def _dissipation_matrix(c: SlabConfig, g: SpectralGrid) -> np.ndarray:
-    """Interior matrix E0m of int mu |psi''|^2 - k1 |psi'(1)|^2 - k0 |psi'(0)|^2."""
+def _dissipation_matrix(c: SlabConfig, g: SpectralGrid, K2: np.ndarray) -> np.ndarray:
+    """Interior matrix E0m of int mu |psi''|^2 - k1 |psi'(1)|^2 - k0 |psi'(0)|^2 (K2: curvature)."""
     t0, t1 = slope_traces(g)
-    return _sym(c.mu * curvature_matrix(g) - c.k1 * np.outer(t1, t1) - c.k0 * np.outer(t0, t0))
+    return _sym(c.mu * K2 - c.k1 * np.outer(t1, t1) - c.k0 * np.outer(t0, t0))
+
+
+_LAST_GRAMS = None  # (p, g, grams) of the latest call; holding p and g pins their ids
+
+
+def _grams(p: DensityProfile, g: SpectralGrid) -> tuple:
+    """Read-only xi-independent interior Grams of p on g, kept for the latest
+    (p, g) pair matched by identity: curvature, gradient, mass, rho-weighted
+    gradient, rho-weighted mass, rho'-weighted mass."""
+    global _LAST_GRAMS
+    last = _LAST_GRAMS
+    if last is None or last[0] is not p or last[1] is not g:
+        grams = (curvature_matrix(g), gradient_matrix(g), mass_matrix(g),
+                 gradient_matrix(g, p.rho), mass_matrix(g, p.rho), mass_matrix(g, p.drho))
+        for A in grams:
+            A.flags.writeable = False
+        last = _LAST_GRAMS = (p, g, grams)
+    return last[2]
 
 
 def assemble_forms(p: DensityProfile, c: SlabConfig, g: SpectralGrid, xi: float) -> FormSet:
@@ -123,13 +129,12 @@ def assemble_forms(p: DensityProfile, c: SlabConfig, g: SpectralGrid, xi: float)
         raise ZeroFrequency("quadratic forms require xi != 0")
     xi2 = xi * xi
 
+    K2, K1, M, K1r, Mr, Mdr = _grams(p, g)
     t0, t1 = slope_traces(g)
-    E0m = _dissipation_matrix(c, g)
-    K1 = gradient_matrix(g)
-    M = mass_matrix(g)
+    E0m = _dissipation_matrix(c, g, K2)
     E1m = _sym(c.mu * (2.0 * K1 + xi2 * M))
-    E2m = c.g * xi2 * mass_matrix(g, p.drho)
-    Jm = _sym(gradient_matrix(g, p.rho) + xi2 * mass_matrix(g, p.rho))
+    E2m = c.g * xi2 * Mdr
+    Jm = _sym(K1r + xi2 * Mr)
     Gm = E0m + xi2 * E1m
 
     return FormSet(

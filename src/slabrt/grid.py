@@ -52,17 +52,16 @@ def lobatto_barycentric_weights(n: int) -> np.ndarray:
     return w
 
 
-def barycentric_weights(nodes: np.ndarray, rescale: float | None = None) -> np.ndarray:
+def barycentric_weights(nodes: np.ndarray) -> np.ndarray:
     """Barycentric weights for an arbitrary set of distinct nodes.
 
-    The pairwise differences are rescaled (default: 4 / span, the inverse
-    logarithmic capacity of the interval) so the products stay well inside
+    The pairwise differences are rescaled by 4 / span, the inverse
+    logarithmic capacity of the interval, so the products stay well inside
     the floating-point range for a few hundred nodes.
     """
     nodes = np.asarray(nodes, dtype=float)
     n = nodes.size
-    if rescale is None:
-        rescale = 4.0 / (nodes[-1] - nodes[0])
+    rescale = 4.0 / (nodes[-1] - nodes[0])
     w = np.empty(n)
     for j in range(n):
         w[j] = 1.0 / np.prod((nodes[j] - np.delete(nodes, j)) * rescale)

@@ -20,6 +20,7 @@ from .errors import ConvergenceFailure, EigensolveFailure, NoRTPoint, NoSignChan
 from .forms import (
     FormSet,
     _dissipation_matrix,
+    _grams,
     assemble_forms,
     c0_constant,
     curvature_matrix,
@@ -180,7 +181,7 @@ def critical_frequency(c: SlabConfig, grid: SpectralGrid) -> float:
     """
     if c.mu >= critical_viscosity_closed_form(c):
         return 0.0
-    negE0 = -_dissipation_matrix(c, grid)
+    negE0 = -_dissipation_matrix(c, grid, curvature_matrix(grid))
     K1 = gradient_matrix(grid)
     M = mass_matrix(grid)
 
@@ -241,12 +242,7 @@ def upper_bound_constants(p: DensityProfile, c: SlabConfig, grid: SpectralGrid,
     y0 = _bump_center(p)
     a, b = band
 
-    Mdr = mass_matrix(grid, p.drho)
-    Mr = mass_matrix(grid, p.rho)
-    K1r = gradient_matrix(grid, p.rho)
-    K2 = curvature_matrix(grid)
-    K1 = gradient_matrix(grid)
-    M = mass_matrix(grid)
+    K2, K1, M, K1r, Mr, Mdr = _grams(p, grid)
     t0, t1 = slope_traces(grid)
 
     delta = width if width is not None else min(y0, 1.0 - y0)

@@ -302,9 +302,23 @@ def test_dispersion_scans_explicit_band_below_xi_c(tmp_path):
     assert json.loads((out / "summary.json").read_text())["band"] == [1.0, 5.0]
 
 
-def test_negative_workers_rejected(unstable_cfg, tmp_path):
-    assert main(["dispersion", "--config", unstable_cfg, "--out", str(tmp_path / "o"),
-                 "--workers", "-5"]) == 2
+def test_workers_flag_rejected(unstable_cfg, tmp_path):
+    # the scan is serial; --workers is no longer an option
+    with pytest.raises(SystemExit) as exc:
+        main(["dispersion", "--config", unstable_cfg, "--out", str(tmp_path / "o"),
+              "--workers", "2"])
+    assert exc.value.code == 2
+
+
+def test_size_caps_rejected(unstable_cfg, tmp_path, capsys):
+    # only the rejection path: the capped sizes are never allocated
+    out = str(tmp_path / "o")
+    assert main(["dispersion", "--config", unstable_cfg, "--out", out, "--n", "100000"]) == 2
+    assert "cap of 1024" in capsys.readouterr().err
+    assert main(["dispersion", "--config", unstable_cfg, "--out", out,
+                 "--n-samples", "100000"]) == 2
+    assert "cap of 10000" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_tanh_layer_config_parameters(tmp_path, capsys):
@@ -320,12 +334,15 @@ def test_tanh_layer_config_parameters(tmp_path, capsys):
     assert rep["y0_witness"] == pytest.approx(0.35, abs=0.01)
 
 
-def test_worker_count_does_not_change_bytes(unstable_cfg, tmp_path):
-    out1, out2 = tmp_path / "w1", tmp_path / "w2"
-    assert main(["dispersion", "--config", unstable_cfg, "--out", str(out1),
-                 "--workers", "1"]) == 0
-    assert main(["dispersion", "--config", unstable_cfg, "--out", str(out2),
-                 "--workers", "3"]) == 0
+def test_dispersion_after_other_model_byte_identical(unstable_cfg, tmp_path):
+    # a run on another profile (and so another grid object of the same size)
+    # in between must not leak its cached Gram matrices into the next run
+    out1, other, out2 = tmp_path / "fresh", tmp_path / "other", tmp_path / "after"
+    assert main(["dispersion", "--config", unstable_cfg, "--out", str(out1)]) == 0
+    assert main(["dispersion", "--config", unstable_cfg, "--out", str(other),
+                 "--preset", "tanh-layer"]) == 0
+    assert main(["dispersion", "--config", unstable_cfg, "--out", str(out2)]) == 0
+    assert (other / "dispersion.csv").read_bytes() != (out1 / "dispersion.csv").read_bytes()
     assert (out1 / "dispersion.csv").read_bytes() == (out2 / "dispersion.csv").read_bytes()
     assert (out1 / "summary.json").read_bytes() == (out2 / "summary.json").read_bytes()
 

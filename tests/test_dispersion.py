@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -52,6 +54,18 @@ def test_companion_eigenvector_residual(default_mode):
     assert np.linalg.norm(r) / den <= 1e-6
 
 
+def test_companion_drops_infinite_eigenvalues(profile_up, default_config, grid32):
+    # a singular Jm makes QZ return infinite eigenvalues; they must be dropped
+    # before scaling (inf * 0 would raise under error::RuntimeWarning)
+    fs = assemble_forms(profile_up, default_config, grid32, 2.0)
+    J = fs.Jm.copy()
+    J[0, :] = 0.0
+    J[:, 0] = 0.0
+    lam, v = companion_oracle(replace(fs, Jm=J))
+    assert np.isfinite(lam) and lam > 0.0
+    assert v @ J @ v == pytest.approx(1.0, abs=1e-10)
+
+
 def test_companion_none_for_dissipative_system(grid64):
     # rho = 1 kills the gravity form; with a positive-definite dissipation
     # form all eigenvalues sit in the left half plane
@@ -76,11 +90,9 @@ def test_reconstruction_divergence_free(default_mode):
     assert default_mode.residuals["div_res"] <= 1e-8
 
 
-def test_reconstruction_zero_mode(default_mode, profile_up, default_config):
-    from dataclasses import replace
-
+def test_reconstruction_zero_mode(default_mode, default_config):
     ms0 = replace(default_mode, psi=np.zeros_like(default_mode.psi))
-    out = reconstruct_mode(ms0, profile_up, default_config)
+    out = reconstruct_mode(ms0, default_config)
     assert np.all(out.phi == 0.0)
     assert np.all(out.pi == 0.0)
 

@@ -12,6 +12,7 @@ from slabrt import (
     preset_profile,
 )
 from slabrt.errors import ZeroFrequency
+from slabrt.forms import curvature_matrix, gradient_matrix, mass_matrix, slope_traces
 
 
 def interior_parabola(g):
@@ -23,6 +24,29 @@ def interior_parabola(g):
 def test_zero_frequency_rejected(profile_up, default_config, grid64):
     with pytest.raises(ZeroFrequency):
         assemble_forms(profile_up, default_config, grid64, 0.0)
+
+
+def test_forms_match_grams_when_interleaved():
+    # two profiles on two distinct grids of equal size, visited in turn, each
+    # pair assembled twice in a row (a cache miss, then a hit): every form must
+    # equal its expression in freshly built Gram matrices, bit for bit
+    c = SlabConfig(mu=0.02, g=1.0, k0=0.5, k1=1.0, L=1.0)
+    profiles = (preset_profile("linear-up"), preset_profile("tanh-layer"))
+    grids = (build_grid(32), build_grid(32))
+    for xi in (1.0, 2.5):
+        xi2 = xi * xi
+        for p in profiles:
+            for g in grids:
+                t0, t1 = slope_traces(g)
+                E0 = (c.mu * curvature_matrix(g)
+                      - c.k1 * np.outer(t1, t1) - c.k0 * np.outer(t0, t0))
+                E1 = c.mu * (2.0 * gradient_matrix(g) + xi2 * mass_matrix(g))
+                J = gradient_matrix(g, p.rho) + xi2 * mass_matrix(g, p.rho)
+                for fs in (assemble_forms(p, c, g, xi), assemble_forms(p, c, g, -xi)):
+                    assert np.array_equal(fs.E0m, 0.5 * (E0 + E0.T))
+                    assert np.array_equal(fs.E1m, 0.5 * (E1 + E1.T))
+                    assert np.array_equal(fs.E2m, c.g * xi2 * mass_matrix(g, p.drho))
+                    assert np.array_equal(fs.Jm, 0.5 * (J + J.T))
 
 
 def test_e0_parabola(grid32):
