@@ -11,7 +11,7 @@ from .errors import EigensolveFailure, EmptyBand, NonPositiveHorizon
 from .forms import FormSet, assemble_forms
 from .grid import SpectralGrid
 from .profiles import DensityProfile, SlabConfig
-from .variational import _ReducedPencil, _bisect, _fix_sign
+from .variational import _ReducedPencil, _fix_sign, _rayleigh_root
 
 FIXED_POINT_TOL = 1e-13
 # discretization noise puts tiny imaginary parts on real eigenvalues
@@ -87,20 +87,21 @@ def growth_rate(p: DensityProfile, c: SlabConfig, grid: SpectralGrid,
 
     The rate is the unique root of the strictly increasing map
     F(s) = s^2 + alpha(s); F(0) = alpha(0) is negative exactly in the
-    unstable regime.  The search starts from [0, sqrt(-alpha(0))], which
-    brackets the root only while alpha stays nonnegative above
-    sqrt(-alpha(0)); with slip walls below xi_c it does not, and the root
-    finder expands the bracket by doubling.  The minimizer at the root is
-    the mode shape; phi, pi and all residual diagnostics are filled in
-    before returning.
+    unstable regime.  The root is the extreme eigenvalue of the quadratic
+    pencil s^2 Jm + s Gm - E2m, which has a min-max characterization, so
+    the safeguarded Rayleigh-functional iteration of
+    _ReducedPencil.rayleigh_fixed_point reaches it from below without a
+    bracket, also with slip walls below xi_c where Gm is indefinite.  iters
+    counts its eigensolves; the first, at s = 0, doubles as the stability
+    test.  The minimizer at the root is the mode shape; phi, pi and all
+    residual diagnostics are filled in before returning.
     """
     fs = assemble_forms(p, c, grid, xi)
     red = _ReducedPencil(fs.Jm, fs.Gm, fs.E2m)
-    alpha0 = red.value(0.0)
-    if alpha0 >= 0.0:
+    lam, it = red.rayleigh_fixed_point(FIXED_POINT_TOL,
+                                       f"growth-rate fixed point at xi = {xi:g}")
+    if lam is None:
         return None
-    lam, it = _bisect(lambda s: s * s + red.value(s) < 0.0, 0.0, math.sqrt(-alpha0),
-                      FIXED_POINT_TOL, "growth-rate fixed point")
     aval, v = red.pair(lam)
     ms = ModeSolution(
         xi=float(xi), lam=lam, psi=v, phi=None, pi=None,
@@ -233,14 +234,8 @@ def companion_oracle(fs: FormSet):
         P = lam * lam * fs.Jm + lam * fs.Gm - fs.E2m
         w, V = sla.eigh(P)
         v = V[:, int(np.argmin(np.abs(w)))]
-        a = v @ fs.Jm @ v
-        b = v @ fs.Gm @ v
-        e2 = v @ fs.E2m @ v
-        disc = b * b + 4.0 * a * e2
-        if disc < 0.0:
-            break
-        lam_new = (-b + np.sqrt(disc)) / (2.0 * a)
-        if lam_new <= 0.0:
+        lam_new = _rayleigh_root(v @ fs.Jm @ v, v @ fs.Gm @ v, v @ fs.E2m @ v)
+        if lam_new is None or lam_new <= 0.0:
             break
         done = abs(lam_new - lam) <= 1e-14 * lam
         lam = float(lam_new)

@@ -10,6 +10,7 @@ reduced to a standard symmetric problem through the Cholesky factor of Jm
 (positive definite because the density has a positive lower bound).
 """
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -33,6 +34,7 @@ from .profiles import DensityProfile, SlabConfig, evaluation_points, validate_pr
 
 BISECT_TOL = 1e-10
 BISECT_CAP = 200
+RAYLEIGH_CAP = 50
 
 
 @dataclass(frozen=True)
@@ -83,6 +85,17 @@ def _bisect(below, lo: float, hi: float, tol: float, what: str):
     return 0.5 * (lo + hi), it
 
 
+def _rayleigh_root(a: float, b: float, e: float) -> float | None:
+    """Larger root of a s^2 + b s - e = 0 with a > 0, or None when both
+    roots are complex.  Each branch adds terms of one sign, so the root
+    keeps full relative accuracy when |b| dwarfs a e."""
+    D = b * b + 4.0 * a * e
+    if D < 0.0:
+        return None
+    r = math.sqrt(D)
+    return (r - b) / (2.0 * a) if b <= 0.0 else 2.0 * e / (b + r)
+
+
 class _ReducedPencil:
     """The pencil (s A1 - A0) v = theta B v with B positive definite,
     reduced once through B = L L' to standard symmetric problems in
@@ -119,6 +132,36 @@ class _ReducedPencil:
         v = sla.solve_triangular(self.L, vecs[:, 0], lower=True, trans="T")
         v = v / np.sqrt(v @ self.B @ v)
         return float(vals[0]), _fix_sign(v)
+
+    def rayleigh_fixed_point(self, tol: float, what: str):
+        """Root of s^2 + alpha(s) = 0 on s > 0, alpha(s) the smallest
+        eigenvalue at s, by safeguarded iteration on the Rayleigh functional.
+
+        From s = 0, u is the unit minimizer at s and the next s is the
+        growing root of s^2 + (u' A1 u) s - u' A0 u = 0.  That quadratic
+        bounds s^2 + alpha(s) from above, so each root lies at or below the
+        fixed point: the iterates rise monotonically, converge quadratically
+        and need no bracket (Voss & Werner, Math. Meth. Appl. Sci. 4 (1982)
+        415).  The iteration stops once an increase is at most
+        tol * max(1, s), which includes the stall at the roundoff floor; the
+        test relies on the start s = 0 lying below the root, since from above
+        the first step would fall and stop at a mere lower bound.
+        Returns (root, steps) with steps the number of eigensolves, and
+        (None, 1) when alpha(0) >= 0, i.e. no growing root exists.
+        """
+        s = 0.0
+        for steps in range(1, RAYLEIGH_CAP + 1):
+            vals, vecs = sla.eigh(self._at(s), subset_by_index=[0, 0])
+            if steps == 1 and vals[0] >= 0.0:
+                return None, steps
+            u = vecs[:, 0]
+            nxt = _rayleigh_root(1.0, float(u @ self.A1t @ u), float(u @ self.A0t @ u))
+            if nxt is None:  # only roundoff at the root can make it complex
+                return s, steps
+            if nxt - s <= tol * max(1.0, nxt):
+                return nxt, steps
+            s = nxt
+        raise ConvergenceFailure(f"{what} did not converge in {RAYLEIGH_CAP} steps")
 
 
 def pencil_extreme(A: np.ndarray, B: np.ndarray, largest: bool = False):

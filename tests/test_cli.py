@@ -198,6 +198,13 @@ def test_mode_stable_exit_code(stable_cfg, tmp_path):
                  "--xi", "2.0"]) == 3
 
 
+def test_mode_unconverged_exit_code(unstable_cfg, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("slabrt.variational.RAYLEIGH_CAP", 1)
+    assert main(["mode", "--config", unstable_cfg, "--out", str(tmp_path / "o"),
+                 "--xi", "2.0"]) == 4
+    assert "growth-rate fixed point at xi = 2 did not converge" in capsys.readouterr().err
+
+
 def test_mode_requires_xi(unstable_cfg):
     assert main(["mode", "--config", unstable_cfg]) == 2
 

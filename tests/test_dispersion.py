@@ -18,7 +18,7 @@ from slabrt import (
     reconstruct_mode,
     scan_band,
 )
-from slabrt.errors import EmptyBand, NonPositiveHorizon
+from slabrt.errors import ConvergenceFailure, EmptyBand, NonPositiveHorizon
 
 
 def test_stable_profile_has_no_growing_mode(profile_down, grid64):
@@ -133,18 +133,45 @@ def test_slip_config_mode(profile_up, grid128):
     assert ms.residuals["bc_res_0"] <= 1e-4 and ms.residuals["bc_res_1"] <= 1e-4
 
 
+SLIP_BELOW_XI_C = SlabConfig(mu=0.02, g=1.0, k0=0.5, k1=1.0, L=1.0)
+
+
 @pytest.mark.parametrize("xi", [2.0, 4.0])
 def test_growth_rate_expands_bracket_below_xi_c(grid64, xi):
     # slip walls below xi_c: alpha is negative again at sqrt(-alpha(0)), so
-    # the starting interval does not bracket the rate and has to expand
-    p = preset_profile("tanh-layer")
-    c = SlabConfig(mu=0.02, g=1.0, k0=0.5, k1=1.0, L=1.0)
+    # [0, sqrt(-alpha(0))] does not bracket the rate; the iteration needs none
+    p, c = preset_profile("tanh-layer"), SLIP_BELOW_XI_C
     fs = assemble_forms(p, c, grid64, xi)
     s0 = np.sqrt(-alpha(fs, 0.0)[0])
     assert s0 * s0 + alpha(fs, s0)[0] < 0.0
     ms = growth_rate(p, c, grid64, xi)
     lam_hat, _ = companion_oracle(ms.forms)
     assert abs(lam_hat - ms.lam) / lam_hat <= 1e-6
+
+
+@pytest.mark.parametrize("slip,n,xi", [(False, 64, 0.05), (False, 64, 2.0), (False, 64, 30.0),
+                                       (True, 192, 0.5), (True, 192, 8.0), (True, 192, 20.0)])
+def test_growth_rate_iteration_matches_oracle(profile_up, default_config, slip, n, xi):
+    p, c = (preset_profile("tanh-layer"), SLIP_BELOW_XI_C) if slip else (profile_up, default_config)
+    ms = growth_rate(p, c, build_grid(n), xi)
+    lam_hat, _ = companion_oracle(ms.forms)
+    assert abs(lam_hat - ms.lam) / lam_hat <= 1e-9
+    assert ms.iters <= 8
+
+
+def test_scan_iterations_per_frequency(profile_up, default_config, grid64):
+    # quadratic convergence: 4-6 eigensolves per point; a bound of 8 guards the count
+    res = scan_band(profile_up, default_config, grid64, (0.0, 10.0), 64)
+    assert len(res.samples) == 2 * 69  # every frequency grows
+    assert max(pt.iters for pt in res.samples) <= 8
+
+
+def test_growth_rate_step_cap_names_stage_and_frequency(profile_up, default_config, grid64,
+                                                        monkeypatch):
+    monkeypatch.setattr("slabrt.variational.RAYLEIGH_CAP", 1)
+    with pytest.raises(ConvergenceFailure,
+                       match="growth-rate fixed point at xi = 2 did not converge in 1 steps"):
+        growth_rate(profile_up, default_config, grid64, 2.0)
 
 
 def test_grid_convergence_of_rate(profile_up, default_config):

@@ -17,7 +17,7 @@ from slabrt import (
     upper_bound_constants,
 )
 from slabrt.errors import ConvergenceFailure, NoRTPoint, NoSignChange
-from slabrt.variational import _bisect
+from slabrt.variational import _bisect, _rayleigh_root, _ReducedPencil
 
 
 def test_alpha_nonnegative_for_stable_profile(profile_down, grid64):
@@ -274,3 +274,40 @@ def test_bisect_step_cap_names_the_root():
     # past the step cap
     with pytest.raises(ConvergenceFailure, match="test root bisection exceeded"):
         _bisect(lambda s: s < 0.0, 0.0, 1.0, 0.0, "test root")
+
+
+@pytest.mark.parametrize("a,b,e", [(1.0, -3.0, 2.0), (2.0, -1e8, 1e-3), (1.0, 0.0, 4.0),
+                                   (1.0, 3.0, 2.0), (0.5, 1e8, 1e-3), (3.0, 2.0, -0.25)])
+def test_rayleigh_root_matches_np_roots(a, b, e):
+    # b < 0 and b >= 0 take different formulas; |b| >> a e is where the
+    # textbook formula cancels
+    ref = max(np.roots([a, b, -e]).real)
+    assert _rayleigh_root(a, b, e) == pytest.approx(ref, rel=1e-12)
+
+
+def test_rayleigh_root_none_without_real_root():
+    assert _rayleigh_root(1.0, 1.0, -1.0) is None
+
+
+def test_rayleigh_fixed_point_diagonal_pencil(monkeypatch):
+    # alpha(s) = min(4 s - 6, -s/2 - 3) with an indefinite first-order term:
+    # the minimizer switches after the first step, and the fixed point is
+    # the root of s^2 - s/2 - 3, i.e. s = 2
+    roots = []
+
+    def record(a, b, e):
+        roots.append(_rayleigh_root(a, b, e))
+        return roots[-1]
+
+    monkeypatch.setattr("slabrt.variational._rayleigh_root", record)
+    red = _ReducedPencil(np.eye(2), np.diag([4.0, -0.5]), np.diag([6.0, 3.0]))
+    root, steps = red.rayleigh_fixed_point(1e-13, "test root")
+    assert root == pytest.approx(2.0, rel=1e-15)
+    assert steps == 3
+    assert roots[0] == pytest.approx(np.sqrt(10.0) - 2.0, rel=1e-15)
+    assert roots == sorted(roots)
+
+
+def test_rayleigh_fixed_point_rejects_nonnegative_alpha0():
+    red = _ReducedPencil(np.eye(2), np.diag([1.0, 2.0]), np.diag([-1.0, 0.0]))
+    assert red.rayleigh_fixed_point(1e-13, "test root") == (None, 1)
