@@ -9,6 +9,7 @@ sorted by key.  Exit codes: 0 success, 2 invalid input, 3 no growing mode,
 import argparse
 import configparser
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field, replace
@@ -45,6 +46,7 @@ FORMATS = ("csv", "json", "svg")
 # a grid holds about a dozen dense n x n matrices; caps keep memory bounded
 MAX_NODES = 1024
 MAX_SAMPLES = 10000
+MAX_STEPS = 1_000_000
 
 
 @dataclass
@@ -88,8 +90,10 @@ def load_config(path: str) -> RunConfig:
     if not cp.read(path):
         raise ValueError(f"cannot read config file {path!r}")
     cfg = RunConfig()
+    read = set()
 
     def fget(sec, key, cast=float):
+        read.add((sec, cp.optionxform(key)))
         if cp.has_option(sec, key):
             return cast(cp.get(sec, key))
         return None
@@ -129,11 +133,23 @@ def load_config(path: str) -> RunConfig:
     v = fget("output", "formats", str)
     if v is not None:
         cfg.formats = tuple(s.strip() for s in v.split(",") if s.strip())
+    known = {sec for sec, _ in read}
+    if cp.defaults():
+        raise ValueError(f"unknown config section [{cp.default_section}]")
+    for sec in cp.sections():
+        if sec not in known:
+            raise ValueError(f"unknown config section [{sec}]")
+        for key in cp.options(sec):
+            if (sec, key) not in read:
+                raise ValueError(f"unknown config key {key!r} in [{sec}]")
     _check(cfg)
     return cfg
 
 
 def _check(cfg: RunConfig):
+    for name, v in (vars(cfg) | cfg.preset_params).items():
+        if isinstance(v, float) and not math.isfinite(v):
+            raise ValueError(f"{name} = {v} is not a finite number")
     if cfg.n_samples < 2:
         raise ValueError("n_samples must be at least 2")
     if cfg.n_samples > MAX_SAMPLES:
@@ -344,6 +360,11 @@ def cmd_evolve(cfg: RunConfig, xi: float) -> int:
         w_full = y * (1.0 - y) * np.sin(np.pi * y)
         w0 = 1e-3 * w_full[1:-1]
         sigma0 = np.zeros(grid.n)
+    for name, v in (("dt", dt), ("t_end", t_end)):
+        if v <= 0.0:
+            raise ValueError(f"{name} = {v:g} must be positive")
+    if t_end / dt > MAX_STEPS:
+        raise ValueError(f"t_end / dt = {t_end / dt:.6g} time steps exceed the cap of {MAX_STEPS}")
     sim = simulate(slab, fs, w0, sigma0, dt, t_end)
     _write_csv(os.path.join(cfg.out_dir, "trajectory.csv"),
                ["t", "amplitude", "energy", "balance_residual"], sim.rows)

@@ -11,9 +11,8 @@ from .errors import EigensolveFailure, EmptyBand, NonPositiveHorizon
 from .forms import FormSet, assemble_forms
 from .grid import SpectralGrid
 from .profiles import DensityProfile, SlabConfig
-from .variational import _ReducedPencil, _fix_sign, _rayleigh_root
+from .variational import _fix_sign, _rayleigh_fixed_point, _rayleigh_root, _ReducedPencil
 
-FIXED_POINT_TOL = 1e-13
 # discretization noise puts tiny imaginary parts on real eigenvalues
 REAL_EIG_TOL = 1e-8
 
@@ -89,17 +88,17 @@ def growth_rate(p: DensityProfile, c: SlabConfig, grid: SpectralGrid,
     F(s) = s^2 + alpha(s); F(0) = alpha(0) is negative exactly in the
     unstable regime.  The root is the extreme eigenvalue of the quadratic
     pencil s^2 Jm + s Gm - E2m, which has a min-max characterization, so
-    the safeguarded Rayleigh-functional iteration of
-    _ReducedPencil.rayleigh_fixed_point reaches it from below without a
-    bracket, also with slip walls below xi_c where Gm is indefinite.  iters
-    counts its eigensolves; the first, at s = 0, doubles as the stability
-    test.  The minimizer at the root is the mode shape; phi, pi and all
-    residual diagnostics are filled in before returning.
+    the safeguarded Rayleigh-functional iteration _rayleigh_fixed_point
+    reaches it from below without a bracket, also with slip walls below
+    xi_c where Gm is indefinite.  iters counts its eigensolves; the first,
+    at s = 0, doubles as the stability test.  The minimizer at the root is
+    the mode shape; phi, pi and all residual diagnostics are filled in
+    before returning.
     """
     fs = assemble_forms(p, c, grid, xi)
     red = _ReducedPencil(fs.Jm, fs.Gm, fs.E2m)
-    lam, it = red.rayleigh_fixed_point(FIXED_POINT_TOL,
-                                       f"growth-rate fixed point at xi = {xi:g}")
+    lam, it = _rayleigh_fixed_point(red.rayleigh_coefficients,
+                                    f"growth-rate fixed point at xi = {xi:g}")
     if lam is None:
         return None
     aval, v = red.pair(lam)

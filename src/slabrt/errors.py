@@ -26,7 +26,7 @@ class EigensolveFailure(SlabRTError):
 
 
 class ConvergenceFailure(SlabRTError):
-    """A root finder failed to bracket its root or exceeded its iteration cap."""
+    """A root finder exceeded its iteration cap."""
 
 
 class NoRTPoint(SlabRTError):

@@ -105,22 +105,16 @@ def _dissipation_matrix(c: SlabConfig, g: SpectralGrid, K2: np.ndarray) -> np.nd
     return _sym(c.mu * K2 - c.k1 * np.outer(t1, t1) - c.k0 * np.outer(t0, t0))
 
 
-_LAST_GRAMS = None  # (p, g, grams) of the latest call; holding p and g pins their ids
-
-
+@functools.lru_cache(maxsize=1)
 def _grams(p: DensityProfile, g: SpectralGrid) -> tuple:
     """Read-only xi-independent interior Grams of p on g, kept for the latest
-    (p, g) pair matched by identity: curvature, gradient, mass, rho-weighted
-    gradient, rho-weighted mass, rho'-weighted mass."""
-    global _LAST_GRAMS
-    last = _LAST_GRAMS
-    if last is None or last[0] is not p or last[1] is not g:
-        grams = (curvature_matrix(g), gradient_matrix(g), mass_matrix(g),
-                 gradient_matrix(g, p.rho), mass_matrix(g, p.rho), mass_matrix(g, p.drho))
-        for A in grams:
-            A.flags.writeable = False
-        last = _LAST_GRAMS = (p, g, grams)
-    return last[2]
+    (p, g) pair (both hash by identity): curvature, gradient, mass,
+    rho-weighted gradient, rho-weighted mass, rho'-weighted mass."""
+    grams = (curvature_matrix(g), gradient_matrix(g), mass_matrix(g),
+             gradient_matrix(g, p.rho), mass_matrix(g, p.rho), mass_matrix(g, p.drho))
+    for A in grams:
+        A.flags.writeable = False
+    return grams
 
 
 def assemble_forms(p: DensityProfile, c: SlabConfig, g: SpectralGrid, xi: float) -> FormSet:

@@ -363,3 +363,52 @@ def test_percent_in_config_path_survives(tmp_path):
         f"[output]\ndir = {out}\n"
     )
     assert main(["check", "--config", str(cfg)]) == 0
+
+
+@pytest.mark.parametrize("flags,name", [
+    (["--epsilon", "nan", "--Lambda", "1.0"], "epsilon"),
+    (["--epsilon", "0.1", "--Lambda", "nan"], "Lambda"),
+    (["--epsilon", "0.1", "--Lambda", "inf"], "Lambda"),
+])
+def test_escape_rejects_non_finite_settings(unstable_cfg, tmp_path, capsys, flags, name):
+    out = tmp_path / "o"
+    assert main(["escape", "--config", unstable_cfg, "--out", str(out),
+                 "--delta", "1e-6", "--m0", "1.0"] + flags) == 2
+    assert f"{name} = " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_non_finite_xi_and_file_value_rejected(unstable_cfg, tmp_path, capsys):
+    assert main(["mode", "--config", unstable_cfg, "--out", str(tmp_path / "o"),
+                 "--xi", "nan"]) == 2
+    assert "xi = nan is not a finite number" in capsys.readouterr().err
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[profile]\npreset = tanh-layer\nw = inf\n")
+    assert main(["check", "--config", str(cfg)]) == 2
+    assert "w = inf is not a finite number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text,message", [
+    ("[physics]\nmuu = 5\n", "unknown config key 'muu' in [physics]"),
+    ("[grdi]\nn = 64\n", "unknown config section [grdi]"),
+    ("[DEFAULT]\nmu = 0.02\n", "unknown config section [DEFAULT]"),
+])
+def test_unknown_config_entries_rejected(tmp_path, capsys, text, message):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(text)
+    assert main(["check", "--config", str(cfg)]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("t_end,message", [("1e9", "cap of 1000000"),
+                                           ("0", "t_end = 0 must be positive")])
+def test_evolve_rejects_step_count(tmp_path, capsys, monkeypatch, t_end, message):
+    # only the rejection path: a capped run must never start
+    def no_run(*args):
+        raise AssertionError("simulate ran")
+
+    monkeypatch.setattr("slabrt.cli.simulate", no_run)
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(UNSTABLE.format(out=tmp_path / "out") + f"\n[evolve]\nt_end = {t_end}\n")
+    assert main(["evolve", "--config", str(cfg), "--xi", "2.0"]) == 2
+    assert message in capsys.readouterr().err

@@ -6,6 +6,7 @@ from slabrt import (
     SlabConfig,
     alpha,
     assemble_forms,
+    build_grid,
     c0_constant,
     compute_critical_numbers,
     constant_profile,
@@ -16,8 +17,14 @@ from slabrt import (
     preset_profile,
     upper_bound_constants,
 )
-from slabrt.errors import ConvergenceFailure, NoRTPoint, NoSignChange
-from slabrt.variational import _bisect, _rayleigh_root, _ReducedPencil
+from slabrt.errors import NoRTPoint, NoSignChange
+from slabrt.forms import curvature_matrix, gradient_matrix, mass_matrix, slope_traces
+from slabrt.variational import (
+    _rayleigh_fixed_point,
+    _rayleigh_root,
+    _ReducedPencil,
+    pencil_extreme,
+)
 
 
 def test_alpha_nonnegative_for_stable_profile(profile_down, grid64):
@@ -106,25 +113,52 @@ def test_critical_frequency_zero_above_mu_c(grid64):
     assert critical_frequency(c, grid64) == 0.0
 
 
-def test_critical_frequency_fixed_point(grid128):
-    from slabrt.forms import gradient_matrix, mass_matrix, slope_traces, curvature_matrix
-    from slabrt.variational import pencil_extreme
+def _h(c, grid, t):
+    """Largest eigenvalue of (-E0) v = theta mu (2 K1 + t M) v, with E0
+    spelled out here rather than taken from the solver."""
+    t0v, t1v = slope_traces(grid)
+    negE0 = -(c.mu * curvature_matrix(grid)
+              - c.k1 * np.outer(t1v, t1v) - c.k0 * np.outer(t0v, t0v))
+    negE0 = 0.5 * (negE0 + negE0.T)
+    B = c.mu * (2.0 * gradient_matrix(grid) + t * mass_matrix(grid))
+    return pencil_extreme(negE0, B, largest=True)[0]
 
+
+def test_critical_frequency_fixed_point(grid128):
     c = SlabConfig(mu=0.5, g=1.0, k0=6.0, k1=6.0, L=1.0)
     xi_c = critical_frequency(c, grid128)
     assert xi_c > 0.0
-    # self-consistency: h(xi_c^2) = xi_c^2 to the bisection tolerance
-    t0v, t1v = slope_traces(grid128)
-    negE0 = -(c.mu * curvature_matrix(grid128)
-              - c.k1 * np.outer(t1v, t1v) - c.k0 * np.outer(t0v, t0v))
-    negE0 = 0.5 * (negE0 + negE0.T)
-    K1 = gradient_matrix(grid128)
-    M = mass_matrix(grid128)
+    # self-consistency: h(xi_c^2) = xi_c^2
     t = xi_c * xi_c
-    h, _ = pencil_extreme(negE0, c.mu * (2.0 * K1 + t * M), largest=True)
+    h = _h(c, grid128, t)
     assert abs(h - t) <= 1e-8
     # bound from the dissipation chain
     assert xi_c <= np.sqrt(c0_constant(c) / (2.0 * c.mu))
+
+
+@pytest.mark.parametrize("n", [64, 128, 192])
+@pytest.mark.parametrize("mu,k0,k1", [(0.02, 0.5, 1.0), (0.1, -1.0, 3.0)])
+def test_critical_frequency_iteration(mu, k0, k1, n, monkeypatch):
+    # the Rayleigh-functional iteration rises from t = 0 to the fixed point
+    # in a few pencil solves, with a residual no worse than roundoff allows
+    solves, ts = [], []
+
+    def counted(A, B, largest=False):
+        solves.append(B.shape)
+        return pencil_extreme(A, B, largest)
+
+    def recorded(coefficients, what):
+        return _rayleigh_fixed_point(lambda t: ts.append(t) or coefficients(t), what)
+
+    monkeypatch.setattr("slabrt.variational.pencil_extreme", counted)
+    monkeypatch.setattr("slabrt.variational._rayleigh_fixed_point", recorded)
+    c = SlabConfig(mu=mu, g=1.0, k0=k0, k1=k1, L=1.0)
+    grid = build_grid(n)
+    t = critical_frequency(c, grid) ** 2
+    assert abs(_h(c, grid, t) - t) / t <= 1e-9
+    assert len(solves) <= 8
+    assert ts[0] == 0.0 and ts == sorted(ts)
+    assert ts[-1] <= t * (1.0 + 1e-9)
 
 
 def test_upper_bound_constants_positive(profile_up, default_config, grid128):
@@ -183,6 +217,26 @@ def test_frak_s_brackets_sign_change(profile_up, default_config, grid128):
     assert lo < 0.0 < hi
 
 
+@pytest.mark.parametrize("preset,c,xi", [
+    ("linear-up", SlabConfig(mu=0.01, g=1.0, k0=0.0, k1=0.0, L=1.0), 2.0),
+    ("tanh-layer", SlabConfig(mu=0.02, g=1.0, k0=0.5, k1=1.0, L=1.0), 30.0),
+])
+def test_frak_s_is_sharp(preset, c, xi, grid128):
+    fs = assemble_forms(preset_profile(preset), c, grid128, xi)
+    S = frak_S(fs)
+    assert alpha(fs, S * (1.0 - 1e-9))[0] < 0.0 < alpha(fs, S * (1.0 + 1e-9))[0]
+
+
+def test_frak_s_infinite_below_xi_c(grid64):
+    # slip walls below xi_c: Gm is indefinite, so alpha(s) -> -inf
+    c = SlabConfig(mu=0.02, g=1.0, k0=0.5, k1=1.0, L=1.0)
+    fs = assemble_forms(preset_profile("tanh-layer"), c, grid64, 2.0)
+    assert np.linalg.eigvalsh(fs.Gm)[0] < 0.0
+    with pytest.warns(NoSignChange, match="not positive definite"):
+        S = frak_S(fs)
+    assert S == np.inf
+
+
 def test_alpha_strictly_increasing_below_frak_s(profile_up, default_config, grid128):
     fs = assemble_forms(profile_up, default_config, grid128, 2.0)
     S = frak_S(fs)
@@ -213,6 +267,12 @@ def test_frak_s_degenerate_uniform_density(grid64):
     c = SlabConfig(mu=0.3, g=1.0, k0=0.0, k1=0.0, L=1.0)
     fs = assemble_forms(constant_profile(1.0), c, grid64, 1.5)
     assert frak_S(fs) == 0.0
+
+
+def test_frak_s_zero_for_stable_profile(profile_down, grid64):
+    # rho' < 0: -E2m is positive definite, so alpha(s) > 0 for every s >= 0
+    c = SlabConfig(mu=0.3, g=1.0, k0=0.0, k1=0.0, L=1.0)
+    assert frak_S(assemble_forms(profile_down, c, grid64, 1.5)) == 0.0
 
 
 def test_frak_s_reports_no_sign_change(grid64):
@@ -250,32 +310,6 @@ def test_compute_critical_numbers_stable_profile(profile_down, grid64):
     assert nums.C1 is None and nums.C2 is None
 
 
-def test_bisect_expands_bracket_above_initial_hi():
-    # below(1) and below(2) hold, so the bracket grows to [2, 4]; hi then
-    # settles at 3 and 10 halvings reach a width 2**-9 <= 2**-10 * 3
-    root, steps = _bisect(lambda s: s < 3.0, 0.0, 1.0, 2.0**-10, "test root")
-    assert steps == 10
-    assert abs(root - 3.0) <= 2.0**-10
-
-
-def test_bisect_root_inside_initial_bracket():
-    root, steps = _bisect(lambda s: s < 0.3, 0.0, 1.0, 1e-12, "test root")
-    assert abs(root - 0.3) <= 1e-12
-    assert steps == 40  # 2**-40 <= 1e-12 < 2**-39
-
-
-def test_bisect_bracket_failure_names_the_root():
-    with pytest.raises(ConvergenceFailure, match="could not bracket the test root"):
-        _bisect(lambda s: True, 0.0, 1.0, 1e-10, "test root")
-
-
-def test_bisect_step_cap_names_the_root():
-    # a root at 0 with zero tolerance halves towards the subnormals, far
-    # past the step cap
-    with pytest.raises(ConvergenceFailure, match="test root bisection exceeded"):
-        _bisect(lambda s: s < 0.0, 0.0, 1.0, 0.0, "test root")
-
-
 @pytest.mark.parametrize("a,b,e", [(1.0, -3.0, 2.0), (2.0, -1e8, 1e-3), (1.0, 0.0, 4.0),
                                    (1.0, 3.0, 2.0), (0.5, 1e8, 1e-3), (3.0, 2.0, -0.25)])
 def test_rayleigh_root_matches_np_roots(a, b, e):
@@ -301,7 +335,7 @@ def test_rayleigh_fixed_point_diagonal_pencil(monkeypatch):
 
     monkeypatch.setattr("slabrt.variational._rayleigh_root", record)
     red = _ReducedPencil(np.eye(2), np.diag([4.0, -0.5]), np.diag([6.0, 3.0]))
-    root, steps = red.rayleigh_fixed_point(1e-13, "test root")
+    root, steps = _rayleigh_fixed_point(red.rayleigh_coefficients, "test root")
     assert root == pytest.approx(2.0, rel=1e-15)
     assert steps == 3
     assert roots[0] == pytest.approx(np.sqrt(10.0) - 2.0, rel=1e-15)
@@ -310,4 +344,4 @@ def test_rayleigh_fixed_point_diagonal_pencil(monkeypatch):
 
 def test_rayleigh_fixed_point_rejects_nonnegative_alpha0():
     red = _ReducedPencil(np.eye(2), np.diag([1.0, 2.0]), np.diag([-1.0, 0.0]))
-    assert red.rayleigh_fixed_point(1e-13, "test root") == (None, 1)
+    assert _rayleigh_fixed_point(red.rayleigh_coefficients, "test root") == (None, 1)
