@@ -12,7 +12,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -20,9 +20,7 @@ from .dispersion import escape_time, growth_rate, scan_band
 from .errors import (
     ConvergenceFailure,
     EigensolveFailure,
-    EmptyBand,
     InsufficientGrowth,
-    NonPositiveDensity,
     SingularStep,
     SlabRTError,
 )
@@ -43,6 +41,7 @@ EXIT_NO_GROWING_MODE = 3
 EXIT_NO_CONVERGENCE = 4
 
 FORMATS = ("csv", "json", "svg")
+VARIANTS = ("A", "B")
 # a grid holds about a dozen dense n x n matrices; caps keep memory bounded
 MAX_NODES = 1024
 MAX_SAMPLES = 10000
@@ -53,9 +52,10 @@ MAX_STEPS = 1_000_000
 class RunConfig:
     """Everything one run needs; flags override file values."""
 
-    preset: str | None = "linear-up"
+    preset: str = "linear-up"
     profile_csv: str | None = None
-    preset_params: dict = field(default_factory=dict)
+    y_c: float | None = None
+    w: float | None = None
     mu: float = 0.01
     g: float = 1.0
     k0: float = 0.0
@@ -82,74 +82,79 @@ class RunConfig:
     def profile(self):
         if self.profile_csv:
             return profile_from_csv(self.profile_csv)
-        return preset_profile(self.preset, **self.preset_params)
+        params = {k: v for k, v in (("y_c", self.y_c), ("w", self.w)) if v is not None}
+        return preset_profile(self.preset, **params)
+
+
+def _formats(text: str) -> tuple:
+    return tuple(s.strip() for s in text.split(",") if s.strip())
+
+
+# (section, file key, RunConfig field, type, flag); a row without a section
+# is a flag only, a row without a flag is a file key only.  A type that
+# returns None sets nothing: an empty "preset =" keeps linear-up.
+SETTINGS = (
+    ("profile", "csv", "profile_csv", str, None),
+    ("profile", "preset", "preset", lambda s: s or None, "--preset"),
+    ("profile", "y_c", "y_c", float, None),
+    ("profile", "w", "w", float, None),
+    ("physics", "mu", "mu", float, "--mu"),
+    ("physics", "g", "g", float, "--g"),
+    ("physics", "k0", "k0", float, "--k0"),
+    ("physics", "k1", "k1", float, "--k1"),
+    ("physics", "L", "L", float, "--L"),
+    ("grid", "n", "n", int, "--n"),
+    ("band", "a", "band_a", float, None),
+    ("band", "b", "band_b", float, None),
+    ("scan", "n_samples", "n_samples", int, "--n-samples"),
+    ("evolve", "dt", "dt", float, None),
+    ("evolve", "t_end", "t_end", float, None),
+    ("escape", "epsilon", "epsilon", float, "--epsilon"),
+    ("escape", "m0", "m0", float, "--m0"),
+    ("escape", "delta", "delta", float, "--delta"),
+    ("escape", "variant", "variant", str, "--variant"),
+    ("escape", "lambda", "Lambda", float, "--Lambda"),
+    ("output", "dir", "out_dir", str, "--out"),
+    ("output", "formats", "formats", _formats, "--format"),
+    (None, None, "xi", float, "--xi"),
+)
 
 
 def load_config(path: str) -> RunConfig:
     cp = configparser.ConfigParser(interpolation=None)
-    if not cp.read(path):
+    try:
+        found = cp.read(path)
+    except configparser.Error as exc:  # malformed: the message names file and line
+        raise ValueError(str(exc)) from None
+    if not found:
         raise ValueError(f"cannot read config file {path!r}")
-    cfg = RunConfig()
-    read = set()
-
-    def fget(sec, key, cast=float):
-        read.add((sec, cp.optionxform(key)))
-        if cp.has_option(sec, key):
-            return cast(cp.get(sec, key))
-        return None
-
-    if cp.has_section("profile"):
-        cfg.profile_csv = fget("profile", "csv", str)
-        preset = fget("profile", "preset", str)
-        if preset:
-            cfg.preset = preset
-        for k in ("y_c", "w"):
-            v = fget("profile", k)
-            if v is not None:
-                cfg.preset_params[k] = v
-    for k in ("mu", "g", "k0", "k1", "L"):
-        v = fget("physics", k)
-        if v is not None:
-            setattr(cfg, k, v)
-    v = fget("grid", "n", int)
-    if v is not None:
-        cfg.n = v
-    cfg.band_a = fget("band", "a")
-    cfg.band_b = fget("band", "b")
-    v = fget("scan", "n_samples", int)
-    if v is not None:
-        cfg.n_samples = v
-    cfg.dt = fget("evolve", "dt")
-    cfg.t_end = fget("evolve", "t_end")
-    for k in ("epsilon", "m0", "delta"):
-        setattr(cfg, k, fget("escape", k))
-    v = fget("escape", "variant", str)
-    if v is not None:
-        cfg.variant = v
-    cfg.Lambda = fget("escape", "lambda")
-    v = fget("output", "dir", str)
-    if v is not None:
-        cfg.out_dir = v
-    v = fget("output", "formats", str)
-    if v is not None:
-        cfg.formats = tuple(s.strip() for s in v.split(",") if s.strip())
-    known = {sec for sec, _ in read}
     if cp.defaults():
         raise ValueError(f"unknown config section [{cp.default_section}]")
+    cfg = RunConfig()
     for sec in cp.sections():
-        if sec not in known:
+        keys = {cp.optionxform(key): (name, cast)
+                for s, key, name, cast, _ in SETTINGS if s == sec}
+        if not keys:
             raise ValueError(f"unknown config section [{sec}]")
-        for key in cp.options(sec):
-            if (sec, key) not in read:
+        for key, text in cp.items(sec):
+            if key not in keys:
                 raise ValueError(f"unknown config key {key!r} in [{sec}]")
+            name, cast = keys[key]
+            v = cast(text)
+            if v is not None:
+                setattr(cfg, name, v)
     _check(cfg)
     return cfg
 
 
 def _check(cfg: RunConfig):
-    for name, v in (vars(cfg) | cfg.preset_params).items():
+    for name, v in vars(cfg).items():
         if isinstance(v, float) and not math.isfinite(v):
             raise ValueError(f"{name} = {v} is not a finite number")
+    for name in ("dt", "t_end"):
+        v = getattr(cfg, name)
+        if v is not None and v <= 0.0:
+            raise ValueError(f"{name} = {v:g} must be positive")
     if cfg.n_samples < 2:
         raise ValueError("n_samples must be at least 2")
     if cfg.n_samples > MAX_SAMPLES:
@@ -159,6 +164,8 @@ def _check(cfg: RunConfig):
     bad = [f for f in cfg.formats if f not in FORMATS]
     if bad:
         raise ValueError(f"unknown output formats {bad}; choose from {FORMATS}")
+    if cfg.variant not in VARIANTS:
+        raise ValueError(f"unknown escape-time variant {cfg.variant!r}; choose from {VARIANTS}")
     cfg.slab()  # physical-parameter invariants
 
 
@@ -318,7 +325,10 @@ def cmd_dispersion(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_mode(cfg: RunConfig, xi: float) -> int:
+def cmd_mode(cfg: RunConfig) -> int:
+    if cfg.xi is None:
+        raise ValueError("mode requires --xi")
+    xi = cfg.xi
     p, slab, grid = _model(cfg)
     ms = growth_rate(p, slab, grid, xi)
     if ms is None:
@@ -340,7 +350,10 @@ def cmd_mode(cfg: RunConfig, xi: float) -> int:
     return EXIT_OK
 
 
-def cmd_evolve(cfg: RunConfig, xi: float) -> int:
+def cmd_evolve(cfg: RunConfig) -> int:
+    if cfg.xi is None:
+        raise ValueError("evolve requires --xi")
+    xi = cfg.xi
     p, slab, grid = _model(cfg)
     ms = growth_rate(p, slab, grid, xi)
     fs = ms.forms if ms is not None else assemble_forms(p, slab, grid, xi)
@@ -360,9 +373,6 @@ def cmd_evolve(cfg: RunConfig, xi: float) -> int:
         w_full = y * (1.0 - y) * np.sin(np.pi * y)
         w0 = 1e-3 * w_full[1:-1]
         sigma0 = np.zeros(grid.n)
-    for name, v in (("dt", dt), ("t_end", t_end)):
-        if v <= 0.0:
-            raise ValueError(f"{name} = {v:g} must be positive")
     if t_end / dt > MAX_STEPS:
         raise ValueError(f"t_end / dt = {t_end / dt:.6g} time steps exceed the cap of {MAX_STEPS}")
     sim = simulate(slab, fs, w0, sigma0, dt, t_end)
@@ -387,11 +397,9 @@ def cmd_evolve(cfg: RunConfig, xi: float) -> int:
 def cmd_escape(cfg: RunConfig) -> int:
     for name in ("epsilon", "delta"):
         if getattr(cfg, name) is None:
-            print(f"error: escape requires {name}", file=sys.stderr)
-            return EXIT_INVALID
+            raise ValueError(f"escape requires {name}")
     if cfg.variant == "A" and cfg.m0 is None:
-        print("error: escape variant A requires m0", file=sys.stderr)
-        return EXIT_INVALID
+        raise ValueError("escape variant A requires m0")
     Lambda = cfg.Lambda
     if Lambda is None:
         _, result = _scan(cfg)
@@ -412,44 +420,29 @@ def cmd_escape(cfg: RunConfig) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+# main looks cmd_<name> up at call time, not through a table of function
+# objects, so a wrapper installed on the module attribute (a profiler, a
+# test) sees the call
+COMMANDS = ("check", "critical", "dispersion", "mode", "evolve", "escape")
+
+
 def _parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="slab-rt",
                                  description="Rayleigh-Taylor growth rates in a "
                                              "slip-walled slab")
     sub = ap.add_subparsers(dest="command", required=True)
-    for name in ("check", "critical", "dispersion", "mode", "evolve", "escape"):
-        sp = sub.add_parser(name)
+    for command in COMMANDS:
+        sp = sub.add_parser(command)
         sp.add_argument("--config", required=True)
-        sp.add_argument("--xi", type=float)
-        sp.add_argument("--out")
-        sp.add_argument("--format", dest="formats")
-        sp.add_argument("--preset")
-        sp.add_argument("--mu", type=float)
-        sp.add_argument("--g", type=float)
-        sp.add_argument("--k0", type=float)
-        sp.add_argument("--k1", type=float)
-        sp.add_argument("--L", type=float)
-        sp.add_argument("--n", type=int)
-        sp.add_argument("--n-samples", type=int, dest="n_samples")
-        sp.add_argument("--epsilon", type=float)
-        sp.add_argument("--m0", type=float)
-        sp.add_argument("--delta", type=float)
-        sp.add_argument("--variant", choices=("A", "B"))
-        sp.add_argument("--Lambda", type=float)
+        for _, _, name, cast, flag in SETTINGS:
+            if flag:
+                sp.add_argument(flag, type=cast, dest=name)
     return ap
 
 
 def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
-    updates = {}
-    if args.out is not None:
-        updates["out_dir"] = args.out
-    if args.formats is not None:
-        updates["formats"] = tuple(s.strip() for s in args.formats.split(",") if s.strip())
-    for name in ("preset", "mu", "g", "k0", "k1", "L", "n", "n_samples", "xi",
-                 "epsilon", "m0", "delta", "variant", "Lambda"):
-        v = getattr(args, name, None)
-        if v is not None:
-            updates[name] = v
+    updates = {name: getattr(args, name) for _, _, name, _, flag in SETTINGS
+               if flag and getattr(args, name) is not None}
     if "preset" in updates:
         updates["profile_csv"] = None
     cfg = replace(cfg, **updates)
@@ -461,35 +454,13 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         cfg = _apply_overrides(load_config(args.config), args)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    try:
-        if args.command == "check":
-            return cmd_check(cfg)
-        if args.command == "critical":
-            return cmd_critical(cfg)
-        if args.command == "dispersion":
-            return cmd_dispersion(cfg)
-        if args.command in ("mode", "evolve"):
-            if cfg.xi is None:
-                print(f"error: {args.command} requires --xi", file=sys.stderr)
-                return EXIT_INVALID
-            if args.command == "mode":
-                return cmd_mode(cfg, cfg.xi)
-            return cmd_evolve(cfg, cfg.xi)
-        if args.command == "escape":
-            return cmd_escape(cfg)
-    except (NonPositiveDensity, EmptyBand, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+        return globals()[f"cmd_{args.command}"](cfg)
     except (ConvergenceFailure, EigensolveFailure, SingularStep, InsufficientGrowth) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
-    except SlabRTError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    return EXIT_OK
+        code, err = EXIT_NO_CONVERGENCE, exc
+    except (SlabRTError, ValueError, OSError) as exc:
+        code, err = EXIT_INVALID, exc
+    print(f"error: {err}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

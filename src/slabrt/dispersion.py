@@ -95,10 +95,13 @@ def growth_rate(p: DensityProfile, c: SlabConfig, grid: SpectralGrid,
     the mode shape; phi, pi and all residual diagnostics are filled in
     before returning.
     """
+    what = f"growth-rate fixed point at xi = {xi:g}"
     fs = assemble_forms(p, c, grid, xi)
-    red = _ReducedPencil(fs.Jm, fs.Gm, fs.E2m)
-    lam, it = _rayleigh_fixed_point(red.rayleigh_coefficients,
-                                    f"growth-rate fixed point at xi = {xi:g}")
+    try:
+        red = _ReducedPencil(fs.Jm, fs.Gm, fs.E2m)
+    except EigensolveFailure as exc:
+        raise EigensolveFailure(f"{what}: {exc}") from exc
+    lam, it = _rayleigh_fixed_point(red.rayleigh_coefficients, what)
     if lam is None:
         return None
     aval, v = red.pair(lam)

@@ -319,7 +319,7 @@ def compute_critical_numbers(p: DensityProfile, c: SlabConfig, grid: SpectralGri
     """
     C0 = c0_constant(c)
     mu_c = critical_viscosity_closed_form(c)
-    xi_c = 0.0 if c.mu >= mu_c else critical_frequency(c, grid)
+    xi_c = critical_frequency(c, grid)
     a = xi_c
     b_edge = float(b) if b is not None else max(4.0 * a, 10.0)
     a_bound = a if a > 0.0 else min(1.0, 0.1 * b_edge)

@@ -392,6 +392,9 @@ def test_non_finite_xi_and_file_value_rejected(unstable_cfg, tmp_path, capsys):
     ("[physics]\nmuu = 5\n", "unknown config key 'muu' in [physics]"),
     ("[grdi]\nn = 64\n", "unknown config section [grdi]"),
     ("[DEFAULT]\nmu = 0.02\n", "unknown config section [DEFAULT]"),
+    ("mu = 0.01\n", "no section headers"),
+    ("[physics]\nmu = 0.01\nmu = 0.02\n", "already exists"),
+    ("[physics]\nmu\n", "parsing errors"),
 ])
 def test_unknown_config_entries_rejected(tmp_path, capsys, text, message):
     cfg = tmp_path / "run.ini"
@@ -400,15 +403,120 @@ def test_unknown_config_entries_rejected(tmp_path, capsys, text, message):
     assert message in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("t_end,message", [("1e9", "cap of 1000000"),
-                                           ("0", "t_end = 0 must be positive")])
-def test_evolve_rejects_step_count(tmp_path, capsys, monkeypatch, t_end, message):
-    # only the rejection path: a capped run must never start
+@pytest.mark.parametrize("t_end,message,solves", [
+    pytest.param("1e9", "cap of 1000000", True, id="1e9-cap of 1000000"),
+    pytest.param("0", "t_end = 0 must be positive", False, id="0-t_end = 0 must be positive"),
+])
+def test_evolve_rejects_step_count(tmp_path, capsys, monkeypatch, t_end, message, solves):
+    # only the rejection path: a capped run must never start, and a file
+    # value that is not positive is rejected before the mode is solved
     def no_run(*args):
-        raise AssertionError("simulate ran")
+        raise AssertionError("rejected run went ahead")
 
     monkeypatch.setattr("slabrt.cli.simulate", no_run)
+    if not solves:
+        monkeypatch.setattr("slabrt.cli.growth_rate", no_run)
     cfg = tmp_path / "run.ini"
     cfg.write_text(UNSTABLE.format(out=tmp_path / "out") + f"\n[evolve]\nt_end = {t_end}\n")
     assert main(["evolve", "--config", str(cfg), "--xi", "2.0"]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["check", "critical"])
+def test_missing_profile_csv_rejected(tmp_path, capsys, command):
+    missing = tmp_path / "absent.csv"
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(f"[profile]\ncsv = {missing}\n")
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert str(missing) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra,flags", [("[escape]\nvariant = C\n", []),
+                                         ("", ["--variant", "C"])])
+def test_escape_rejects_variant_before_scan(tmp_path, capsys, monkeypatch, extra, flags):
+    def no_scan(*args):
+        raise AssertionError("scan_band ran")
+
+    monkeypatch.setattr("slabrt.cli.scan_band", no_scan)
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(UNSTABLE.format(out=tmp_path / "out") + extra)
+    assert main(["escape", "--config", str(cfg), "--epsilon", "0.1", "--delta", "1e-6",
+                 "--m0", "1"] + flags) == 2
+    assert "unknown escape-time variant 'C'" in capsys.readouterr().err
+
+
+SETTINGS_INI = """\
+[profile]
+csv = rho.csv
+preset = tanh-layer
+y_c = 0.4
+w = 0.05
+[physics]
+mu = 0.11
+g = 1.2
+k0 = 0.3
+k1 = 0.4
+L = 1.5
+[grid]
+n = 48
+[band]
+a = 0.6
+b = 7.0
+[scan]
+n_samples = 9
+[evolve]
+dt = 0.002
+t_end = 3.0
+[escape]
+epsilon = 0.7
+m0 = 1.1
+delta = 0.03
+variant = B
+lambda = 2.5
+[output]
+dir = here
+formats = svg, csv
+"""
+FILE_FIELDS = {
+    "profile_csv": "rho.csv", "preset": "tanh-layer", "y_c": 0.4, "w": 0.05,
+    "mu": 0.11, "g": 1.2, "k0": 0.3, "k1": 0.4, "L": 1.5, "n": 48, "band_a": 0.6, "band_b": 7.0,
+    "n_samples": 9, "dt": 0.002, "t_end": 3.0, "epsilon": 0.7, "m0": 1.1,
+    "delta": 0.03, "variant": "B", "Lambda": 2.5, "out_dir": "here",
+    "formats": ("svg", "csv"), "xi": None,
+}
+FLAG_FIELDS = {
+    "xi": ("--xi", "3.5", 3.5), "out_dir": ("--out", "there", "there"),
+    "formats": ("--format", "json", ("json",)),
+    "preset": ("--preset", "exp", "exp"), "mu": ("--mu", "0.21", 0.21),
+    "g": ("--g", "2.2", 2.2), "k0": ("--k0", "-0.3", -0.3),
+    "k1": ("--k1", "-0.4", -0.4), "L": ("--L", "2.5", 2.5), "n": ("--n", "40", 40),
+    "n_samples": ("--n-samples", "11", 11), "epsilon": ("--epsilon", "0.8", 0.8),
+    "m0": ("--m0", "1.3", 1.3), "delta": ("--delta", "0.04", 0.04),
+    "variant": ("--variant", "A", "A"), "Lambda": ("--Lambda", "3.5", 3.5),
+}
+
+
+def _run_config(monkeypatch, argv):
+    seen = []
+    monkeypatch.setattr("slabrt.cli.cmd_check", lambda cfg: seen.append(cfg) or 0)
+    assert main(argv) == 0
+    return seen[0]
+
+
+def test_settings_reach_their_fields(tmp_path, monkeypatch):
+    # every file key and every flag lands in its own RunConfig field
+    ini = tmp_path / "run.ini"
+    ini.write_text(SETTINGS_INI)
+    cfg = _run_config(monkeypatch, ["check", "--config", str(ini)])
+    assert {k: getattr(cfg, k) for k in FILE_FIELDS} == FILE_FIELDS
+    flags = [arg for flag, value, _ in FLAG_FIELDS.values() for arg in (flag, value)]
+    cfg = _run_config(monkeypatch, ["check", "--config", str(ini)] + flags)
+    expected = FILE_FIELDS | {k: v for k, (_, _, v) in FLAG_FIELDS.items()}
+    expected["profile_csv"] = None  # --preset replaces the file's table
+    assert {k: getattr(cfg, k) for k in expected} == expected
+
+
+def test_empty_preset_keeps_default(tmp_path, monkeypatch):
+    ini = tmp_path / "run.ini"
+    ini.write_text("[profile]\npreset =\n")
+    assert _run_config(monkeypatch, ["check", "--config", str(ini)]).preset == "linear-up"

@@ -18,7 +18,7 @@ from slabrt import (
     reconstruct_mode,
     scan_band,
 )
-from slabrt.errors import ConvergenceFailure, EmptyBand, NonPositiveHorizon
+from slabrt.errors import ConvergenceFailure, EigensolveFailure, EmptyBand, NonPositiveHorizon
 
 
 def test_stable_profile_has_no_growing_mode(profile_down, grid64):
@@ -172,6 +172,14 @@ def test_growth_rate_step_cap_names_stage_and_frequency(profile_up, default_conf
     with pytest.raises(ConvergenceFailure,
                        match="growth-rate fixed point at xi = 2 did not converge in 1 steps"):
         growth_rate(profile_up, default_config, grid64, 2.0)
+
+
+def test_growth_rate_eigensolve_failure_names_stage_and_frequency(grid32):
+    # a negative density makes the J form indefinite, so the reduction fails
+    with pytest.raises(EigensolveFailure,
+                       match="growth-rate fixed point at xi = 2: pencil mass matrix "
+                             "is not positive definite"):
+        growth_rate(constant_profile(-1.0), SlabConfig(mu=0.01), grid32, 2.0)
 
 
 def test_grid_convergence_of_rate(profile_up, default_config):
