@@ -199,10 +199,9 @@ def _write_csv(path: str, header: list, rows: list):
 _SVG_COLORS = ("#1f77b4", "#d62728", "#2ca02c")
 
 
-def _svg_plot(path: str, series: list, title: str, xlabel: str, ylabel: str,
-              width: int = 640, height: int = 420):
+def _svg_plot(path: str, series: list, title: str, xlabel: str, ylabel: str):
     """series: list of (xs, ys, label) triples; draws axes plus polylines."""
-    pad = 54
+    width, height, pad = 640, 420, 54
     xs_all = np.concatenate([np.asarray(s[0], dtype=float) for s in series])
     ys_all = np.concatenate([np.asarray(s[1], dtype=float) for s in series])
     x0, x1 = float(xs_all.min()), float(xs_all.max())

@@ -275,10 +275,12 @@ def scan_band(p: DensityProfile, c: SlabConfig, grid: SpectralGrid,
     uniform = [a + (b - a) * (i + 1) / (n_samples + 1) for i in range(n_samples)]
     all_xis = sorted(set(uniform) | set(lattice_xis))
 
-    modes = [growth_rate(p, c, grid, x) for x in all_xis]
-
-    growing = {x: DispersionPoint(x, m.lam, m.residuals["fixed_point_res"], m.iters)
-               for x, m in zip(all_xis, modes) if m is not None}
+    # keep only each rate's point: a mode holds its FormSet (five m x m matrices)
+    growing = {}
+    for x in all_xis:
+        m = growth_rate(p, c, grid, x)
+        if m is not None:
+            growing[x] = DispersionPoint(x, m.lam, m.residuals["fixed_point_res"], m.iters)
     pos = list(growing.values())
     mirrored = [DispersionPoint(-pt.xi, pt.lam, pt.alpha_residual, pt.iters)
                 for pt in reversed(pos)]

@@ -46,8 +46,6 @@ class CrankNicolsonStepper:
     def __init__(self, c: SlabConfig, fs: FormSet, dt: float):
         if dt <= 0:
             raise ValueError("dt must be positive")
-        self.c = c
-        self.fs = fs
         self.dt = dt
         self.gx2 = c.g * fs.xi * fs.xi
         self.w_int = fs.grid.w[1:-1]

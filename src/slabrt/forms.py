@@ -40,7 +40,7 @@ class FormSet:
         v' E2m v = g xi^2 int rho' psi^2
         v' Jm  v = int rho (xi^2 psi^2 + |psi'|^2)
         Gm = E0m + xi^2 E1m
-    trace_d1_0 / trace_d1_1 map interior values to psi'(0) / psi'(1).
+    slope_traces(grid) maps interior values to psi'(0) / psi'(1).
     The grid and sampled density are kept for downstream diagnostics.
     """
 
@@ -50,8 +50,6 @@ class FormSet:
     E2m: np.ndarray
     Gm: np.ndarray
     Jm: np.ndarray
-    trace_d1_0: np.ndarray
-    trace_d1_1: np.ndarray
     grid: SpectralGrid
     rho_nodes: np.ndarray
     drho_nodes: np.ndarray
@@ -102,7 +100,7 @@ def slope_traces(g: SpectralGrid) -> tuple[np.ndarray, np.ndarray]:
 def _dissipation_matrix(c: SlabConfig, g: SpectralGrid, K2: np.ndarray) -> np.ndarray:
     """Interior matrix E0m of int mu |psi''|^2 - k1 |psi'(1)|^2 - k0 |psi'(0)|^2 (K2: curvature)."""
     t0, t1 = slope_traces(g)
-    return _sym(c.mu * K2 - c.k1 * np.outer(t1, t1) - c.k0 * np.outer(t0, t0))
+    return c.mu * K2 - c.k1 * np.outer(t1, t1) - c.k0 * np.outer(t0, t0)
 
 
 @functools.lru_cache(maxsize=1)
@@ -124,17 +122,15 @@ def assemble_forms(p: DensityProfile, c: SlabConfig, g: SpectralGrid, xi: float)
     xi2 = xi * xi
 
     K2, K1, M, K1r, Mr, Mdr = _grams(p, g)
-    t0, t1 = slope_traces(g)
     E0m = _dissipation_matrix(c, g, K2)
-    E1m = _sym(c.mu * (2.0 * K1 + xi2 * M))
+    E1m = c.mu * (2.0 * K1 + xi2 * M)
     E2m = c.g * xi2 * Mdr
-    Jm = _sym(K1r + xi2 * Mr)
+    Jm = K1r + xi2 * Mr
     Gm = E0m + xi2 * E1m
 
     return FormSet(
         xi=float(xi),
         E0m=E0m, E1m=E1m, E2m=E2m, Gm=Gm, Jm=Jm,
-        trace_d1_0=t0, trace_d1_1=t1,
         grid=g,
         rho_nodes=np.asarray(p.rho(g.nodes), dtype=float),
         drho_nodes=np.asarray(p.drho(g.nodes), dtype=float),

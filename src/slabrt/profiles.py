@@ -2,7 +2,7 @@
 
 import csv
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -26,21 +26,16 @@ MIN_TABLE_NODES = 8
 _SAMPLE_N = 128
 
 
-def evaluation_points(n: int = _SAMPLE_N) -> np.ndarray:
-    return np.union1d(chebyshev_lobatto_nodes(n), np.linspace(0.0, 1.0, 10 * n + 1))
+def evaluation_points() -> np.ndarray:
+    return np.union1d(chebyshev_lobatto_nodes(_SAMPLE_N), np.linspace(0.0, 1.0, 10 * _SAMPLE_N + 1))
 
 
 @dataclass(frozen=True, eq=False)
 class DensityProfile:
-    """Steady density rho(y) with derivative drho(y) and cached extrema."""
+    """Steady density rho(y) with derivative drho(y)."""
 
-    kind: str  # "analytic-preset" | "tabulated"
-    name: str
     rho: Callable[[np.ndarray], np.ndarray]
     drho: Callable[[np.ndarray], np.ndarray]
-    inf_rho: float
-    sup_rho: float
-    params: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -72,36 +67,20 @@ class SlabConfig:
             raise ValueError("period scale L must be positive")
 
 
-def _finish(kind: str, name: str, rho, drho, params=None) -> DensityProfile:
-    ys = evaluation_points()
-    r = np.asarray(rho(ys), dtype=float)
-    return DensityProfile(
-        kind=kind,
-        name=name,
-        rho=rho,
-        drho=drho,
-        inf_rho=float(r.min()),
-        sup_rho=float(r.max()),
-        params=dict(params or {}),
-    )
-
-
 def preset_profile(name: str, **params) -> DensityProfile:
     """Analytic presets: "exp", "linear-up", "linear-down", "tanh-layer".
 
     The tanh layer takes a centre y_c and width w (defaults 0.5 and 0.1).
     """
     if name == "exp":
-        return _finish("analytic-preset", name, np.exp, np.exp)
+        return DensityProfile(np.exp, np.exp)
     if name == "linear-up":
-        return _finish(
-            "analytic-preset", name,
+        return DensityProfile(
             lambda y: 1.0 + np.asarray(y, dtype=float),
             lambda y: np.ones_like(np.asarray(y, dtype=float)),
         )
     if name == "linear-down":
-        return _finish(
-            "analytic-preset", name,
+        return DensityProfile(
             lambda y: 2.0 - np.asarray(y, dtype=float),
             lambda y: -np.ones_like(np.asarray(y, dtype=float)),
         )
@@ -110,22 +89,18 @@ def preset_profile(name: str, **params) -> DensityProfile:
         w = float(params.get("w", 0.1))
         if w <= 0:
             raise ValueError("tanh-layer width w must be positive")
-        return _finish(
-            "analytic-preset", name,
+        return DensityProfile(
             lambda y: 2.0 + np.tanh((np.asarray(y, dtype=float) - y_c) / w),
             lambda y: (1.0 / np.cosh((np.asarray(y, dtype=float) - y_c) / w) ** 2) / w,
-            {"y_c": y_c, "w": w},
         )
     raise ValueError(f"unknown preset {name!r}")
 
 
 def constant_profile(value: float = 1.0) -> DensityProfile:
     """Uniform density; the gravitational form vanishes identically."""
-    return _finish(
-        "analytic-preset", "const",
+    return DensityProfile(
         lambda y: np.full_like(np.asarray(y, dtype=float), value),
         lambda y: np.zeros_like(np.asarray(y, dtype=float)),
-        {"value": value},
     )
 
 
@@ -156,7 +131,7 @@ def tabulated_profile(y: np.ndarray, rho_values: np.ndarray) -> DensityProfile:
     def drho_fn(t):
         return barycentric_eval(y, bw, dr, t)
 
-    return _finish("tabulated", "tabulated", rho_fn, drho_fn, {"nodes": y.size})
+    return DensityProfile(rho_fn, drho_fn)
 
 
 def profile_from_csv(path) -> DensityProfile:
@@ -164,16 +139,20 @@ def profile_from_csv(path) -> DensityProfile:
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     ys, rs = [], []
-    for row in csv.reader(io.StringIO(text)):
+    reader = csv.reader(io.StringIO(text))
+    for row in reader:
         if not row or not row[0].strip():
             continue
         try:
-            ys.append(float(row[0]))
-            rs.append(float(row[1]))
+            y = float(row[0])
         except ValueError:
             if not ys:
                 continue  # header row
             raise
+        if len(row) < 2:
+            raise ValueError(f"{path}, line {reader.line_num}: expected two fields y,rho")
+        ys.append(y)
+        rs.append(float(row[1]))
     return tabulated_profile(np.array(ys), np.array(rs))
 
 

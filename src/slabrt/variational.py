@@ -135,13 +135,13 @@ def _rayleigh_fixed_point(coefficients, what: str):
     raise ConvergenceFailure(f"{what} did not converge in {RAYLEIGH_CAP} steps")
 
 
-def pencil_extreme(A: np.ndarray, B: np.ndarray, largest: bool = False):
-    """Extreme eigenpair of A v = theta B v with B positive definite.
+def pencil_extreme(A: np.ndarray, B: np.ndarray):
+    """Largest eigenpair of A v = theta B v with B positive definite.
 
     Returns (theta, v) with v normalized to v' B v = 1 and a deterministic
     sign (largest-magnitude component positive).
     """
-    return _ReducedPencil(B, A).pair(largest=largest)
+    return _ReducedPencil(B, A).pair(largest=True)
 
 
 def alpha(fs: FormSet, s: float):
@@ -181,7 +181,7 @@ def critical_viscosity_numerical(c: SlabConfig, grid: SpectralGrid) -> float:
     t0, t1 = slope_traces(grid)
     N = 0.5 * (c.k1 * np.outer(t1, t1) + c.k0 * np.outer(t0, t0))
     N = N + N.T
-    val, _ = pencil_extreme(N, curvature_matrix(grid), largest=True)
+    val, _ = pencil_extreme(N, curvature_matrix(grid))
     return max(0.0, val)
 
 
@@ -205,7 +205,7 @@ def critical_frequency(c: SlabConfig, grid: SpectralGrid) -> float:
     muM = c.mu * mass_matrix(grid)
 
     def coefficients(t: float):
-        _, v = pencil_extreme(negE0, 2.0 * muK1 + t * muM, largest=True)
+        _, v = pencil_extreme(negE0, 2.0 * muK1 + t * muM)
         return float(v @ muM @ v), 2.0 * float(v @ muK1 @ v), float(v @ negE0 @ v)
 
     t_star, _ = _rayleigh_fixed_point(coefficients, "critical frequency")
@@ -255,9 +255,7 @@ def upper_bound_constants(p: DensityProfile, c: SlabConfig, grid: SpectralGrid,
     The default width min(y0, 1 - y0) is halved until the bump sees a
     positive density gradient, which must happen by continuity.
     """
-    report = validate_profile(p)
-    if not report.rt_condition:
-        raise NoRTPoint("density derivative is nowhere positive")
+    validate_profile(p)  # positivity; _bump_center raises NoRTPoint
     y0 = _bump_center(p)
     a, b = band
 
@@ -291,7 +289,7 @@ def frak_S(fs: FormSet, s_cap: float = 1e6) -> float:
     tends to -inf, or when theta exceeds s_cap.
     """
     try:
-        theta, _ = pencil_extreme(fs.E2m, fs.Gm, largest=True)
+        theta, _ = pencil_extreme(fs.E2m, fs.Gm)
     except EigensolveFailure:
         warnings.warn(NoSignChange("Gm is not positive definite, so alpha tends to -inf; "
                                    "threshold infinite"))
@@ -305,7 +303,6 @@ def frak_S(fs: FormSet, s_cap: float = 1e6) -> float:
 
 def compute_critical_numbers(p: DensityProfile, c: SlabConfig, grid: SpectralGrid,
                              b: float | None = None,
-                             bump_width: float | None = None,
                              frak_at: float | None = None) -> CriticalNumbers:
     """Aggregate mu_c, xi_c, C0, C1, C2 and the admissible band (a, b).
 
@@ -324,7 +321,7 @@ def compute_critical_numbers(p: DensityProfile, c: SlabConfig, grid: SpectralGri
     b_edge = float(b) if b is not None else max(4.0 * a, 10.0)
     a_bound = a if a > 0.0 else min(1.0, 0.1 * b_edge)
     try:
-        C1, C2 = upper_bound_constants(p, c, grid, (a_bound, b_edge), width=bump_width)
+        C1, C2 = upper_bound_constants(p, c, grid, (a_bound, b_edge))
     except NoRTPoint:
         C1, C2 = None, None
     S = frak_S(assemble_forms(p, c, grid, frak_at)) if frak_at is not None else None

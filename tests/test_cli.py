@@ -102,6 +102,15 @@ def test_check_negative_csv_profile(tmp_path, capsys):
     assert "rho(" in err  # names the offending location
 
 
+def test_check_one_field_csv_row_rejected(tmp_path, capsys):
+    csv_path = tmp_path / "short.csv"
+    csv_path.write_text("y,rho\n0,1\n0.5\n1,2\n")
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(f"[profile]\ncsv = {csv_path}\n")
+    assert main(["check", "--config", cfg.as_posix()]) == 2
+    assert "line 3" in capsys.readouterr().err
+
+
 def test_critical_outputs(unstable_cfg, tmp_path):
     out = tmp_path / "crit"
     assert main(["critical", "--config", unstable_cfg, "--out", str(out)]) == 0

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -164,6 +165,20 @@ def test_scan_iterations_per_frequency(profile_up, default_config, grid64):
     res = scan_band(profile_up, default_config, grid64, (0.0, 10.0), 64)
     assert len(res.samples) == 2 * 69  # every frequency grows
     assert max(pt.iters for pt in res.samples) <= 8
+
+
+def test_scan_keeps_points_not_modes(profile_up, default_config, grid64):
+    # each mode and its FormSet (five m x m matrices, about 150 kB at n = 64)
+    # is freed once its point is taken, so 49 frequencies stay well under 2 MB
+    growth_rate(profile_up, default_config, grid64, 1.0)  # warm the Gram cache
+    tracemalloc.start()
+    try:
+        res = scan_band(profile_up, default_config, grid64, (0.0, 10.0), 40)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(res.samples) == 2 * 49
+    assert peak <= 2 * 2**20
 
 
 def test_growth_rate_step_cap_names_stage_and_frequency(profile_up, default_config, grid64,

@@ -12,6 +12,7 @@ from slabrt import (
     validate_profile,
 )
 from slabrt.errors import NonPositiveDensity
+from slabrt.profiles import evaluation_points
 
 
 def test_linear_up_report(profile_up):
@@ -35,7 +36,7 @@ def test_tanh_layer_profile():
     p = preset_profile("tanh-layer", y_c=0.4, w=0.15)
     rep = validate_profile(p)
     assert rep.rt_condition
-    assert p.inf_rho > 0.9
+    assert p.rho(evaluation_points()).min() > 0.9
 
 
 def test_unknown_preset():
@@ -44,8 +45,9 @@ def test_unknown_preset():
 
 
 def test_preset_extrema_cached(profile_up):
-    assert profile_up.inf_rho == pytest.approx(1.0, abs=1e-12)
-    assert profile_up.sup_rho == pytest.approx(2.0, abs=1e-12)
+    r = profile_up.rho(evaluation_points())
+    assert r.min() == pytest.approx(1.0, abs=1e-12)
+    assert r.max() == pytest.approx(2.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("name", ["exp", "linear-up", "linear-down", "tanh-layer"])
@@ -94,7 +96,7 @@ def test_profile_from_csv(tmp_path):
     lines = ["y,rho"] + [f"{yi},{1 + yi**2}" for yi in y]
     path.write_text("\n".join(lines) + "\n")
     p = profile_from_csv(path)
-    assert p.kind == "tabulated"
+    assert np.max(np.abs(p.rho(y) - (1 + y**2))) <= 1e-12
     assert validate_profile(p).rt_condition
 
 

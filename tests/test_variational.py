@@ -121,7 +121,7 @@ def _h(c, grid, t):
               - c.k1 * np.outer(t1v, t1v) - c.k0 * np.outer(t0v, t0v))
     negE0 = 0.5 * (negE0 + negE0.T)
     B = c.mu * (2.0 * gradient_matrix(grid) + t * mass_matrix(grid))
-    return pencil_extreme(negE0, B, largest=True)[0]
+    return pencil_extreme(negE0, B)[0]
 
 
 def test_critical_frequency_fixed_point(grid128):
@@ -143,9 +143,9 @@ def test_critical_frequency_iteration(mu, k0, k1, n, monkeypatch):
     # in a few pencil solves, with a residual no worse than roundoff allows
     solves, ts = [], []
 
-    def counted(A, B, largest=False):
+    def counted(A, B):
         solves.append(B.shape)
-        return pencil_extreme(A, B, largest)
+        return pencil_extreme(A, B)
 
     def recorded(coefficients, what):
         return _rayleigh_fixed_point(lambda t: ts.append(t) or coefficients(t), what)
