@@ -33,7 +33,7 @@ from .evolve import (
     simulate,
 )
 from .forms import FormSet, assemble_forms, c0_constant
-from .grid import SpectralGrid, build_grid, integrate
+from .grid import SpectralGrid, build_grid
 from .profiles import (
     DensityProfile,
     SlabConfig,
@@ -85,7 +85,6 @@ __all__ = [
     "frak_S",
     "growth_rate",
     "hydrostatic_pressure",
-    "integrate",
     "kinetic_energy",
     "mode_initial_state",
     "preset_profile",

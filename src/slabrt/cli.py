@@ -253,7 +253,9 @@ def _svg_plot(path: str, series: list, title: str, xlabel: str, ylabel: str):
 # ---------------------------------------------------------------------------
 
 def _model(cfg: RunConfig):
-    return cfg.profile(), cfg.slab(), build_grid(cfg.n)
+    p, slab, grid = cfg.profile(), cfg.slab(), build_grid(cfg.n)
+    validate_profile(p)  # a non-positive density is bad input for every command
+    return p, slab, grid
 
 
 def _scan(cfg: RunConfig):
@@ -261,9 +263,8 @@ def _scan(cfg: RunConfig):
     defaults); returns (band, DispersionResult)."""
     p, slab, grid = _model(cfg)
     numbers = compute_critical_numbers(p, slab, grid, b=cfg.band_b)
-    a = cfg.band_a if cfg.band_a is not None else numbers.band[0]
-    b = cfg.band_b if cfg.band_b is not None else numbers.band[1]
-    return (a, b), scan_band(p, slab, grid, (a, b), cfg.n_samples)
+    band = (cfg.band_a if cfg.band_a is not None else numbers.band[0], numbers.band[1])
+    return band, scan_band(p, slab, grid, band, cfg.n_samples)
 
 
 def cmd_check(cfg: RunConfig) -> int:
@@ -327,11 +328,10 @@ def cmd_dispersion(cfg: RunConfig) -> int:
 def cmd_mode(cfg: RunConfig) -> int:
     if cfg.xi is None:
         raise ValueError("mode requires --xi")
-    xi = cfg.xi
     p, slab, grid = _model(cfg)
-    ms = growth_rate(p, slab, grid, xi)
+    ms = growth_rate(p, slab, grid, cfg.xi)
     if ms is None:
-        print(f"no growing mode at xi = {xi:g}", file=sys.stderr)
+        print(f"no growing mode at xi = {cfg.xi:g}", file=sys.stderr)
         return EXIT_NO_GROWING_MODE
     psi_f = ms.psi_full()
     rows = [(float(y), float(ps), float(ph), float(pv))
@@ -344,34 +344,32 @@ def cmd_mode(cfg: RunConfig) -> int:
         y = grid.nodes
         _svg_plot(os.path.join(cfg.out_dir, "mode.svg"),
                   [(y, psi_f, "psi"), (y, ms.phi, "phi"), (y, ms.pi, "pi")],
-                  f"mode shapes at xi = {xi:g}", "y", "amplitude")
-    print(f"mode: lambda = {ms.lam:.12g} at xi = {xi:g}")
+                  f"mode shapes at xi = {cfg.xi:g}", "y", "amplitude")
+    print(f"mode: lambda = {ms.lam:.12g} at xi = {cfg.xi:g}")
     return EXIT_OK
 
 
 def cmd_evolve(cfg: RunConfig) -> int:
     if cfg.xi is None:
         raise ValueError("evolve requires --xi")
-    xi = cfg.xi
     p, slab, grid = _model(cfg)
-    ms = growth_rate(p, slab, grid, xi)
-    fs = ms.forms if ms is not None else assemble_forms(p, slab, grid, xi)
+    ms = growth_rate(p, slab, grid, cfg.xi)
     if ms is not None:
-        lam = ms.lam
-        dt = cfg.dt if cfg.dt is not None else 1e-3 / lam
-        t_end = cfg.t_end if cfg.t_end is not None else 4.0 / lam
+        fs, lam = ms.forms, ms.lam
+        dt, t_end = 1e-3 / lam, 4.0 / lam
         w0, sigma0 = mode_initial_state(ms)
     else:
-        lam = None
-        dt = cfg.dt if cfg.dt is not None else 1e-3
+        fs, lam = assemble_forms(p, slab, grid, cfg.xi), None
         # long window: stable configs decay slowly once the viscous
         # transient has passed, and the fit needs the decaying tail
-        t_end = cfg.t_end if cfg.t_end is not None else 30.0
+        dt, t_end = 1e-3, 30.0
         # deterministic smooth pulse for the stable (decay) diagnostic
         y = grid.nodes
         w_full = y * (1.0 - y) * np.sin(np.pi * y)
         w0 = 1e-3 * w_full[1:-1]
         sigma0 = np.zeros(grid.n)
+    dt = cfg.dt if cfg.dt is not None else dt
+    t_end = cfg.t_end if cfg.t_end is not None else t_end
     if t_end / dt > MAX_STEPS:
         raise ValueError(f"t_end / dt = {t_end / dt:.6g} time steps exceed the cap of {MAX_STEPS}")
     sim = simulate(slab, fs, w0, sigma0, dt, t_end)

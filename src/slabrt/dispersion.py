@@ -2,7 +2,7 @@
 band/lattice scans and the escape-time formula."""
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg as sla
@@ -32,9 +32,9 @@ class ModeSolution:
     psi: np.ndarray
     phi: np.ndarray | None
     pi: np.ndarray | None
-    residuals: dict = field(default_factory=dict)
-    iters: int = 0
-    forms: FormSet | None = None
+    residuals: dict
+    iters: int
+    forms: FormSet
 
     def psi_full(self) -> np.ndarray:
         out = np.zeros(self.forms.grid.n)

@@ -9,10 +9,6 @@ class GridTooSmall(SlabRTError):
     """Collocation grid needs at least 16 nodes."""
 
 
-class LengthMismatch(SlabRTError):
-    """Node-value vector does not match the grid size."""
-
-
 class NonPositiveDensity(SlabRTError):
     """Steady density must be strictly positive on [0, 1]."""
 

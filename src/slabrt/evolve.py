@@ -32,11 +32,9 @@ from .profiles import SlabConfig
 class EvolveState:
     """State of one simulation: sigma on all nodes, w on interior nodes."""
 
-    xi: float
     t: float
     sigma: np.ndarray
     w: np.ndarray
-    dt: float
     history: list = field(default_factory=list)
 
 
@@ -67,8 +65,7 @@ class CrankNicolsonStepper:
             raise SingularStep(f"non-finite velocity at t = {state.t + self.dt:g}")
         sigma_new = state.sigma.copy()
         sigma_new[1:-1] -= self.dt * self.drho_int * 0.5 * (state.w + w_new)
-        return EvolveState(xi=state.xi, t=state.t + self.dt, sigma=sigma_new,
-                           w=w_new, dt=self.dt, history=state.history)
+        return EvolveState(t=state.t + self.dt, sigma=sigma_new, w=w_new, history=state.history)
 
 
 def kinetic_energy(state: EvolveState, fs: FormSet) -> float:
@@ -114,8 +111,8 @@ def simulate(c: SlabConfig, fs: FormSet, w0: np.ndarray, sigma0: np.ndarray,
              dt: float, t_end: float, sample_every: int = 10) -> SimulationResult:
     """Run from t = 0 to t_end, sampling amplitude/energy every few steps."""
     stepper = CrankNicolsonStepper(c, fs, dt)
-    state = EvolveState(xi=fs.xi, t=0.0, sigma=np.asarray(sigma0, dtype=float).copy(),
-                        w=np.asarray(w0, dtype=float).copy(), dt=dt)
+    state = EvolveState(t=0.0, sigma=np.asarray(sigma0, dtype=float).copy(),
+                        w=np.asarray(w0, dtype=float).copy())
     a0 = amplitude(state, fs)
     state.history.append((0.0, a0))
     rows = [(0.0, a0, kinetic_energy(state, fs), 0.0)]

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridTooSmall, LengthMismatch
+from .errors import GridTooSmall
 
 MIN_NODES = 16
 
@@ -117,14 +117,6 @@ def build_grid(n: int) -> SpectralGrid:
     D4 = D2 @ D2
     w = clenshaw_curtis_weights(n)
     return SpectralGrid(n=n, nodes=nodes, D1=D1, D2=D2, D3=D3, D4=D4, w=w)
-
-
-def integrate(g: SpectralGrid, f: np.ndarray) -> float:
-    """Clenshaw-Curtis value of the integral of node values f over [0, 1]."""
-    f = np.asarray(f, dtype=float)
-    if f.shape != (g.n,):
-        raise LengthMismatch(f"expected {g.n} node values, got shape {f.shape}")
-    return float(g.w @ f)
 
 
 def _interpolation_matrix(nodes: np.ndarray, bary_w: np.ndarray, x) -> np.ndarray:

@@ -1,7 +1,6 @@
 """Steady density profiles on [0, 1] and the hydrostatic background."""
 
 import csv
-import io
 from dataclasses import dataclass
 from typing import Callable
 
@@ -135,24 +134,28 @@ def tabulated_profile(y: np.ndarray, rho_values: np.ndarray) -> DensityProfile:
 
 
 def profile_from_csv(path) -> DensityProfile:
-    """Read a two-column "y,rho" file; a non-numeric first row is a header."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    ys, rs = [], []
-    reader = csv.reader(io.StringIO(text))
-    for row in reader:
-        if not row or not row[0].strip():
-            continue
-        try:
-            y = float(row[0])
-        except ValueError:
-            if not ys:
-                continue  # header row
-            raise
-        if len(row) < 2:
-            raise ValueError(f"{path}, line {reader.line_num}: expected two fields y,rho")
-        ys.append(y)
-        rs.append(float(row[1]))
+    """Read "y,rho" rows; the first non-empty row is a header if its y is not a number."""
+    ys, rs, nonempty = [], [], 0
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        for row in reader:
+            if not row or not row[0].strip():
+                continue
+            nonempty += 1
+            where = f"{path}, line {reader.line_num}"
+            try:
+                y = float(row[0])
+            except ValueError:
+                if nonempty == 1:
+                    continue  # header row
+                raise ValueError(f"{where}: y = {row[0]!r} is not a number") from None
+            if len(row) < 2:
+                raise ValueError(f"{where}: expected two fields y,rho")
+            try:
+                rs.append(float(row[1]))
+            except ValueError:
+                raise ValueError(f"{where}: rho = {row[1]!r} is not a number") from None
+            ys.append(y)
     return tabulated_profile(np.array(ys), np.array(rs))
 
 

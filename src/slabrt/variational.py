@@ -179,8 +179,7 @@ def critical_viscosity_numerical(c: SlabConfig, grid: SpectralGrid) -> float:
     eigenvalue of the corresponding pencil.
     """
     t0, t1 = slope_traces(grid)
-    N = 0.5 * (c.k1 * np.outer(t1, t1) + c.k0 * np.outer(t0, t0))
-    N = N + N.T
+    N = c.k1 * np.outer(t1, t1) + c.k0 * np.outer(t0, t0)
     val, _ = pencil_extreme(N, curvature_matrix(grid))
     return max(0.0, val)
 

@@ -175,8 +175,8 @@ def test_criterion_6_stability_negative_control():
         # the Lyapunov functional of the stable system
         fs = assemble_forms(down, c, g, 2.0)
         rng = np.random.default_rng(11)
-        state = EvolveState(xi=2.0, t=0.0, sigma=np.zeros(g.n),
-                            w=rng.standard_normal(g.n - 2) * 1e-3, dt=1e-3)
+        state = EvolveState(t=0.0, sigma=np.zeros(g.n),
+                            w=rng.standard_normal(g.n - 2) * 1e-3)
         stepper = CrankNicolsonStepper(c, fs, 1e-3)
         wq = g.w[1:-1]
         gx2 = c.g * fs.xi**2

@@ -1,10 +1,13 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from slabrt.cli import main
 from schema_check import validate_file
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 UNSTABLE = """\
 [profile]
@@ -111,6 +114,36 @@ def test_check_one_field_csv_row_rejected(tmp_path, capsys):
     assert "line 3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("rows,line", [
+    pytest.param("0,1\n0.5,abc\n1,2\n", "line 3", id="non-numeric-rho"),
+    pytest.param("y2,rho2\n0,1\n1,2\n", "line 2", id="second-header-row"),
+])
+def test_check_non_numeric_csv_row_rejected(tmp_path, capsys, rows, line):
+    # only the first non-empty row may be a header; any other row that is
+    # not two numbers is an error naming the file and line
+    csv_path = tmp_path / "bad.csv"
+    csv_path.write_text("y,rho\n" + rows)
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(f"[profile]\ncsv = {csv_path}\n")
+    assert main(["check", "--config", cfg.as_posix()]) == 2
+    err = capsys.readouterr().err
+    assert str(csv_path) in err and line in err and "not a number" in err
+
+
+@pytest.mark.parametrize("command", ["mode", "evolve"])
+def test_mode_and_evolve_reject_nonpositive_density(tmp_path, capsys, command):
+    # the same rejection as check/critical/dispersion, not a failed Cholesky
+    y = np.linspace(0, 1, 12)
+    rho = 1.0 - 1.5 * np.sin(np.pi * y)
+    csv_path = tmp_path / "bad.csv"
+    csv_path.write_text("y,rho\n" + "\n".join(f"{a},{b}" for a, b in zip(y, rho)) + "\n")
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(f"[profile]\ncsv = {csv_path}\n")
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o"),
+                 "--xi", "3"]) == 2
+    assert "density not positive" in capsys.readouterr().err
+
+
 def test_critical_outputs(unstable_cfg, tmp_path):
     out = tmp_path / "crit"
     assert main(["critical", "--config", unstable_cfg, "--out", str(out)]) == 0
@@ -187,6 +220,14 @@ def test_mode_outputs(unstable_cfg, tmp_path):
     assert len(lines) == 65  # header + one row per node
 
 
+def test_mode_svg(unstable_cfg, tmp_path):
+    out = tmp_path / "mode-svg"
+    assert main(["mode", "--config", unstable_cfg, "--out", str(out),
+                 "--xi", "2.0", "--format", "csv,json,svg"]) == 0
+    svg = (out / "mode.svg").read_text()
+    assert svg.startswith("<svg") and svg.count("polyline") == 3
+
+
 def test_mode_csv_j_renormalization(unstable_cfg, tmp_path):
     # coarse re-quadrature oracle: trapezoid on the written columns
     out = tmp_path / "mode-j"
@@ -236,6 +277,38 @@ def test_evolve_stable_reports_decay(stable_cfg, tmp_path):
     payload = validate_file(out / "fit.json", "evolve_fit.schema.json")
     assert payload["lambda_fit"] < 0
     assert payload["lambda_variational"] is None
+
+
+def test_evolve_short_run_reports_unfit(unstable_cfg, tmp_path, capsys):
+    # a run too short to fit writes fit.json with the reason and exits 4
+    cfg = Path(unstable_cfg)
+    cfg.write_text(cfg.read_text() + "\n[evolve]\nt_end = 0.05\n")
+    out = tmp_path / "ev-short"
+    assert main(["evolve", "--config", str(cfg), "--out", str(out), "--xi", "2"]) == 4
+    payload = validate_file(out / "fit.json", "evolve_fit.schema.json")
+    assert payload["lambda_fit"] is None and payload["rel_diff"] is None
+    assert payload["note"] == "need at least 10 samples, got 3"
+    assert "need at least 10 samples" in capsys.readouterr().err
+
+
+def test_escape_scans_for_lambda(tmp_path):
+    # without --Lambda, escape takes the lattice supremum of the scan
+    cfg = str(CONFIGS / "default.ini")
+    disp, esc = tmp_path / "disp", tmp_path / "esc"
+    assert main(["dispersion", "--config", cfg, "--out", str(disp)]) == 0
+    assert main(["escape", "--config", cfg, "--out", str(esc), "--epsilon", "0.1",
+                 "--delta", "1e-6", "--m0", "1"]) == 0
+    Lambda = json.loads((disp / "summary.json").read_text())["Lambda"]
+    payload = validate_file(esc / "escape.json", "escape.schema.json")
+    assert payload["Lambda"] == Lambda == pytest.approx(0.590316442714717, rel=1e-9)
+
+
+def test_escape_stable_without_lambda(tmp_path, capsys):
+    out = tmp_path / "esc-stable"
+    assert main(["escape", "--config", str(CONFIGS / "stable.ini"), "--out", str(out),
+                 "--epsilon", "0.1", "--delta", "1e-6", "--m0", "1"]) == 3
+    assert "no growing lattice mode" in capsys.readouterr().err
+    assert not (out / "escape.json").exists()
 
 
 def test_escape_outputs(unstable_cfg, tmp_path):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -15,11 +17,15 @@ from slabrt import (
 from slabrt.errors import InsufficientGrowth
 
 
+def test_state_holds_only_time_fields_and_history():
+    # xi belongs to the FormSet and dt to the stepper
+    assert [f.name for f in dataclasses.fields(EvolveState)] == ["t", "sigma", "w", "history"]
+
+
 def test_zero_initial_data_stays_zero(profile_up, default_config, grid64):
     fs = assemble_forms(profile_up, default_config, grid64, 2.0)
-    state = EvolveState(xi=2.0, t=0.0, sigma=np.zeros(grid64.n),
-                        w=np.zeros(grid64.n - 2), dt=1e-3)
-    stepper = CrankNicolsonStepper(default_config, fs, state.dt)
+    state = EvolveState(t=0.0, sigma=np.zeros(grid64.n), w=np.zeros(grid64.n - 2))
+    stepper = CrankNicolsonStepper(default_config, fs, 1e-3)
     for _ in range(5):
         state = stepper.step(state)
     assert np.all(state.w == 0.0)
@@ -62,9 +68,8 @@ def test_pure_dissipation_energy_monotone(profile_up, grid64, rng):
 
 def test_balance_residual_zero_state(profile_up, default_config, grid64):
     fs = assemble_forms(profile_up, default_config, grid64, 2.0)
-    z = EvolveState(xi=2.0, t=0.0, sigma=np.zeros(grid64.n),
-                    w=np.zeros(grid64.n - 2), dt=1e-3)
-    z2 = CrankNicolsonStepper(default_config, fs, z.dt).step(z)
+    z = EvolveState(t=0.0, sigma=np.zeros(grid64.n), w=np.zeros(grid64.n - 2))
+    z2 = CrankNicolsonStepper(default_config, fs, 1e-3).step(z)
     assert energy_balance_residual(z, z2, default_config, fs) == 0.0
 
 
@@ -152,8 +157,8 @@ def test_stable_total_energy_monotone(profile_down, grid64, rng):
         buoy = 0.5 * gx2 * np.sum(wq * s.sigma[1:-1] ** 2 / (-fs.drho_nodes[1:-1]))
         return kinetic_energy(s, fs) + buoy
 
-    state = EvolveState(xi=2.0, t=0.0, sigma=np.zeros(grid64.n),
-                        w=rng.standard_normal(grid64.n - 2) * 1e-3, dt=1e-3)
+    state = EvolveState(t=0.0, sigma=np.zeros(grid64.n),
+                        w=rng.standard_normal(grid64.n - 2) * 1e-3)
     stepper = CrankNicolsonStepper(c, fs, 1e-3)
     prev = total_energy(state)
     for _ in range(1500):
