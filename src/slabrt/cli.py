@@ -12,7 +12,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .errors import (
 )
 from .evolve import fit_growth_rate, mode_initial_state, simulate
 from .forms import assemble_forms
-from .grid import build_grid
+from .grid import MAX_NODES, build_grid
 from .profiles import (
     SlabConfig,
     preset_profile,
@@ -42,39 +42,50 @@ EXIT_NO_CONVERGENCE = 4
 
 FORMATS = ("csv", "json", "svg")
 VARIANTS = ("A", "B")
-# a grid holds about a dozen dense n x n matrices; caps keep memory bounded
-MAX_NODES = 1024
 MAX_SAMPLES = 10000
 MAX_STEPS = 1_000_000
+
+
+def _formats(text: str) -> tuple:
+    return tuple(s.strip() for s in text.split(",") if s.strip())
+
+
+def _setting(default, section=None, parse=float, flag=None, key=None):
+    """A RunConfig field read from [section] key (the key defaults to the
+    field name) and from flag; no section means a flag only, no flag a file
+    key only.  A parse that returns None sets nothing."""
+    return field(default=default,
+                 metadata={"section": section, "key": key, "parse": parse, "flag": flag})
 
 
 @dataclass
 class RunConfig:
     """Everything one run needs; flags override file values."""
 
-    preset: str = "linear-up"
-    profile_csv: str | None = None
-    y_c: float | None = None
-    w: float | None = None
-    mu: float = 0.01
-    g: float = 1.0
-    k0: float = 0.0
-    k1: float = 0.0
-    L: float = 1.0
-    n: int = 128
-    band_a: float | None = None
-    band_b: float | None = None
-    n_samples: int = 64
-    dt: float | None = None
-    t_end: float | None = None
-    out_dir: str = "out"
-    formats: tuple = ("csv", "json")
-    xi: float | None = None
-    epsilon: float | None = None
-    m0: float | None = None
-    delta: float | None = None
-    variant: str = "A"
-    Lambda: float | None = None
+    profile_csv: str | None = _setting(None, "profile", str, key="csv")
+    # an empty "preset =" keeps linear-up
+    preset: str = _setting("linear-up", "profile", lambda s: s or None, "--preset")
+    y_c: float | None = _setting(None, "profile")
+    w: float | None = _setting(None, "profile")
+    mu: float = _setting(0.01, "physics", flag="--mu")
+    g: float = _setting(1.0, "physics", flag="--g")
+    k0: float = _setting(0.0, "physics", flag="--k0")
+    k1: float = _setting(0.0, "physics", flag="--k1")
+    L: float = _setting(1.0, "physics", flag="--L")
+    n: int = _setting(128, "grid", int, "--n")
+    band_a: float | None = _setting(None, "band", key="a")
+    band_b: float | None = _setting(None, "band", key="b")
+    n_samples: int = _setting(64, "scan", int, "--n-samples")
+    dt: float | None = _setting(None, "evolve")
+    t_end: float | None = _setting(None, "evolve")
+    epsilon: float | None = _setting(None, "escape", flag="--epsilon")
+    m0: float | None = _setting(None, "escape", flag="--m0")
+    delta: float | None = _setting(None, "escape", flag="--delta")
+    variant: str = _setting("A", "escape", str, "--variant")
+    Lambda: float | None = _setting(None, "escape", flag="--Lambda", key="lambda")
+    out_dir: str = _setting("out", "output", str, "--out", key="dir")
+    formats: tuple = _setting(("csv", "json"), "output", _formats, "--format")
+    xi: float | None = _setting(None, flag="--xi")
 
     def slab(self) -> SlabConfig:
         return SlabConfig(mu=self.mu, g=self.g, k0=self.k0, k1=self.k1, L=self.L)
@@ -84,40 +95,6 @@ class RunConfig:
             return profile_from_csv(self.profile_csv)
         params = {k: v for k, v in (("y_c", self.y_c), ("w", self.w)) if v is not None}
         return preset_profile(self.preset, **params)
-
-
-def _formats(text: str) -> tuple:
-    return tuple(s.strip() for s in text.split(",") if s.strip())
-
-
-# (section, file key, RunConfig field, type, flag); a row without a section
-# is a flag only, a row without a flag is a file key only.  A type that
-# returns None sets nothing: an empty "preset =" keeps linear-up.
-SETTINGS = (
-    ("profile", "csv", "profile_csv", str, None),
-    ("profile", "preset", "preset", lambda s: s or None, "--preset"),
-    ("profile", "y_c", "y_c", float, None),
-    ("profile", "w", "w", float, None),
-    ("physics", "mu", "mu", float, "--mu"),
-    ("physics", "g", "g", float, "--g"),
-    ("physics", "k0", "k0", float, "--k0"),
-    ("physics", "k1", "k1", float, "--k1"),
-    ("physics", "L", "L", float, "--L"),
-    ("grid", "n", "n", int, "--n"),
-    ("band", "a", "band_a", float, None),
-    ("band", "b", "band_b", float, None),
-    ("scan", "n_samples", "n_samples", int, "--n-samples"),
-    ("evolve", "dt", "dt", float, None),
-    ("evolve", "t_end", "t_end", float, None),
-    ("escape", "epsilon", "epsilon", float, "--epsilon"),
-    ("escape", "m0", "m0", float, "--m0"),
-    ("escape", "delta", "delta", float, "--delta"),
-    ("escape", "variant", "variant", str, "--variant"),
-    ("escape", "lambda", "Lambda", float, "--Lambda"),
-    ("output", "dir", "out_dir", str, "--out"),
-    ("output", "formats", "formats", _formats, "--format"),
-    (None, None, "xi", float, "--xi"),
-)
 
 
 def load_config(path: str) -> RunConfig:
@@ -132,17 +109,16 @@ def load_config(path: str) -> RunConfig:
         raise ValueError(f"unknown config section [{cp.default_section}]")
     cfg = RunConfig()
     for sec in cp.sections():
-        keys = {cp.optionxform(key): (name, cast)
-                for s, key, name, cast, _ in SETTINGS if s == sec}
+        keys = {cp.optionxform(f.metadata["key"] or f.name): f
+                for f in fields(RunConfig) if f.metadata["section"] == sec}
         if not keys:
             raise ValueError(f"unknown config section [{sec}]")
         for key, text in cp.items(sec):
             if key not in keys:
                 raise ValueError(f"unknown config key {key!r} in [{sec}]")
-            name, cast = keys[key]
-            v = cast(text)
+            v = keys[key].metadata["parse"](text)
             if v is not None:
-                setattr(cfg, name, v)
+                setattr(cfg, keys[key].name, v)
     _check(cfg)
     return cfg
 
@@ -258,33 +234,39 @@ def _model(cfg: RunConfig):
     return p, slab, grid
 
 
+def _band(numbers, band_a=None) -> tuple:
+    """(a, b): [band] a, or else xi_c, up to the critical numbers' upper edge;
+    requires 0 <= a < b and names where a came from."""
+    xi_c, b = numbers.band
+    a, source = (xi_c, "critical frequency xi_c") if band_a is None else (band_a, "[band] a")
+    if a < 0.0:
+        raise ValueError(f"invalid band: {source} = {a:g} is negative")
+    if not a < b:
+        raise ValueError(f"invalid band: {source} = {a:g} is not below the upper edge b = {b:g}")
+    return a, b
+
+
 def _scan(cfg: RunConfig):
-    """Scan the configured band (file values over the critical numbers'
-    defaults); returns (band, DispersionResult)."""
+    """Scan the configured band; returns (band, DispersionResult)."""
     p, slab, grid = _model(cfg)
-    numbers = compute_critical_numbers(p, slab, grid, b=cfg.band_b)
-    band = (cfg.band_a if cfg.band_a is not None else numbers.band[0], numbers.band[1])
+    a, b = band = _band(compute_critical_numbers(p, slab, grid, b=cfg.band_b), cfg.band_a)
+    if (b - a) * cfg.L > MAX_SAMPLES:  # before the lattice n/L in (a, b) is listed
+        raise ValueError(f"band ({a:g}, {b:g}) with L = {cfg.L:g} holds about "
+                         f"{(b - a) * cfg.L:.6g} lattice frequencies, "
+                         f"above the cap of {MAX_SAMPLES}")
     return band, scan_band(p, slab, grid, band, cfg.n_samples)
 
 
 def cmd_check(cfg: RunConfig) -> int:
     report = validate_profile(cfg.profile())
-    payload = {
-        "positive": report.positive,
-        "rt_condition": report.rt_condition,
-        "y0_witness": report.y0_witness,
-    }
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    print(json.dumps(asdict(report), indent=2, sort_keys=True))
     return EXIT_OK
 
 
 def cmd_critical(cfg: RunConfig) -> int:
     p, slab, grid = _model(cfg)
     numbers = compute_critical_numbers(p, slab, grid, b=cfg.band_b)
-    xi_c, b = numbers.band
-    if not xi_c < b:
-        raise ValueError(f"invalid band: critical frequency xi_c = {xi_c:g} "
-                         f"is not below the upper edge b = {b:g}")
+    _band(numbers)
     payload = {
         "mu_c_closed": numbers.mu_c,
         "mu_c_numerical": critical_viscosity_numerical(slab, grid),
@@ -431,15 +413,15 @@ def _parser() -> argparse.ArgumentParser:
     for command in COMMANDS:
         sp = sub.add_parser(command)
         sp.add_argument("--config", required=True)
-        for _, _, name, cast, flag in SETTINGS:
-            if flag:
-                sp.add_argument(flag, type=cast, dest=name)
+        for f in fields(RunConfig):
+            if f.metadata["flag"]:
+                sp.add_argument(f.metadata["flag"], type=f.metadata["parse"], dest=f.name)
     return ap
 
 
 def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
-    updates = {name: getattr(args, name) for _, _, name, _, flag in SETTINGS
-               if flag and getattr(args, name) is not None}
+    updates = {f.name: getattr(args, f.name) for f in fields(RunConfig)
+               if f.metadata["flag"] and getattr(args, f.name) is not None}
     if "preset" in updates:
         updates["profile_csv"] = None
     cfg = replace(cfg, **updates)

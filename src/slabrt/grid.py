@@ -8,6 +8,7 @@ import numpy as np
 from .errors import GridTooSmall
 
 MIN_NODES = 16
+MAX_NODES = 1024  # a grid holds about a dozen dense n x n matrices
 
 
 @dataclass(frozen=True, eq=False)

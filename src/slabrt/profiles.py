@@ -8,6 +8,7 @@ import numpy as np
 
 from .errors import NonPositiveDensity
 from .grid import (
+    MAX_NODES,
     SpectralGrid,
     barycentric_eval,
     barycentric_weights,
@@ -110,6 +111,8 @@ def tabulated_profile(y: np.ndarray, rho_values: np.ndarray) -> DensityProfile:
     r = np.asarray(rho_values, dtype=float)
     if y.size < MIN_TABLE_NODES:
         raise ValueError(f"tabulated profile needs >= {MIN_TABLE_NODES} nodes, got {y.size}")
+    if y.size > MAX_NODES:  # the interpolant builds dense rows x rows matrices
+        raise ValueError(f"tabulated profile has {y.size} nodes, above the cap of {MAX_NODES}")
     if y.shape != r.shape:
         raise ValueError("y and rho columns differ in length")
     if not (np.all(np.isfinite(y)) and np.all(np.isfinite(r))):
@@ -164,17 +167,20 @@ def validate_profile(p: DensityProfile) -> ValidationReport:
 
     rt_condition is true iff rho' > 0 at some sampled point; the witness is
     the sampled argmax of rho'.  Raises NonPositiveDensity (naming the
-    offending y) when the sampled infimum is not positive.
+    offending y) when a sampled rho is not positive (NaN included), and
+    ValueError when a sampled rho' is not finite.
     """
     ys = evaluation_points()
-    r = np.asarray(p.rho(ys), dtype=float)
-    i = int(np.argmin(r))
-    if r[i] <= 0.0:
-        raise NonPositiveDensity(f"density not positive: rho({ys[i]:.6g}) = {r[i]:.6g}")
     # the heavy-over-light condition concerns interior points only
-    inner = (ys > 0.0) & (ys < 1.0)
-    yi = ys[inner]
-    d = np.asarray(p.drho(yi), dtype=float)
+    yi = ys[(ys > 0.0) & (ys < 1.0)]
+    with np.errstate(all="ignore"):  # a sample that is NaN or inf is reported below
+        r, d = np.asarray(p.rho(ys), dtype=float), np.asarray(p.drho(yi), dtype=float)
+    i = int(np.argmin(r))  # the first NaN, if there is one
+    if not r[i] > 0.0:
+        raise NonPositiveDensity(f"density not positive: rho({ys[i]:.6g}) = {r[i]:.6g}")
+    j = int(np.argmin(np.isfinite(d)))
+    if not np.isfinite(d[j]):
+        raise ValueError(f"density slope not finite: rho'({yi[j]:.6g}) = {d[j]:.6g}")
     rt = bool(np.any(d > 0.0))
     y0 = float(yi[int(np.argmax(d))]) if rt else None
     return ValidationReport(positive=True, rt_condition=rt, y0_witness=y0)

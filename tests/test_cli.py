@@ -130,6 +130,48 @@ def test_check_non_numeric_csv_row_rejected(tmp_path, capsys, rows, line):
     assert str(csv_path) in err and line in err and "not a number" in err
 
 
+def _table_config(tmp_path, rows):
+    csv_path = tmp_path / "table.csv"
+    csv_path.write_text("y,rho\n" + "".join(f"{row}\n" for row in rows))
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(f"[profile]\ncsv = {csv_path}\n")
+    return str(cfg)
+
+
+NINE_ROWS = [f"{y},{1 + y}" for y in np.linspace(0, 1, 9)]
+
+
+@pytest.mark.parametrize("rows,message", [
+    pytest.param(NINE_ROWS[:4] + ["0.5,nan"] + NINE_ROWS[5:], "non-finite", id="rho-nan"),
+    pytest.param(NINE_ROWS[:4] + ["0.5,inf"] + NINE_ROWS[5:], "non-finite", id="rho-inf"),
+    pytest.param(NINE_ROWS[:3] + [NINE_ROWS[4], NINE_ROWS[3]] + NINE_ROWS[5:],
+                 "strictly increasing", id="y-out-of-order"),
+    pytest.param(NINE_ROWS[:5] + NINE_ROWS[4:], "strictly increasing", id="y-repeated"),
+])
+def test_check_rejects_bad_table_values(tmp_path, capsys, rows, message):
+    assert main(["check", "--config", _table_config(tmp_path, rows)]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_table_row_cap_rejected(tmp_path, capsys):
+    # Chebyshev nodes: the table itself is well posed, only its size is capped
+    y = 0.5 - 0.5 * np.cos(np.pi * np.arange(1025) / 1024)
+    rows = [f"{a},{1 + a}" for a in y]
+    assert main(["check", "--config", _table_config(tmp_path, rows)]) == 2
+    assert "tabulated profile has 1025 nodes, above the cap of 1024" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["check", "critical", "mode"])
+def test_nan_density_sample_rejected(tmp_path, capsys, command):
+    # the interpolant through 200 equispaced nodes overflows: some samples of
+    # rho are NaN, and a NaN must not hide the negative ones
+    rows = [f"{a},{1 + a}" for a in np.linspace(0, 1, 200)]
+    assert main([command, "--config", _table_config(tmp_path, rows), "--out",
+                 str(tmp_path / "o"), "--xi", "2"]) == 2
+    assert "density not positive: rho(" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("command", ["mode", "evolve"])
 def test_mode_and_evolve_reject_nonpositive_density(tmp_path, capsys, command):
     # the same rejection as check/critical/dispersion, not a failed Cholesky
@@ -389,6 +431,47 @@ def test_dispersion_scans_explicit_band_below_xi_c(tmp_path):
     assert main(["dispersion", "--config", str(cfg), "--out", str(out)]
                 + SLIP_BELOW_XI_C) == 0
     assert json.loads((out / "summary.json").read_text())["band"] == [1.0, 5.0]
+
+
+BAND_INI = "[profile]\npreset = linear-up\n[grid]\nn = 64\n[band]\n{band}\n[scan]\nn_samples = 4\n"
+ESCAPE_FLAGS = ["--epsilon", "0.1", "--delta", "1e-6", "--m0", "1"]
+
+
+@pytest.mark.parametrize("command", ["dispersion", "escape"])
+@pytest.mark.parametrize("band,flags,message", [
+    pytest.param("b = 5.0", SLIP_BELOW_XI_C,
+                 "critical frequency xi_c = 25 is not below the upper edge b = 5", id="xi_c-above-b"),
+    pytest.param("a = 5.0\nb = 3.0", [], "[band] a = 5 is not below the upper edge b = 3",
+                 id="inverted"),
+    pytest.param("a = -1.0\nb = 3.0", [], "[band] a = -1 is negative", id="negative-a"),
+])
+def test_scan_rejects_bad_lower_edge(tmp_path, capsys, monkeypatch, command, band, flags,
+                                     message):
+    # the lower edge must satisfy 0 <= a < b before any frequency is solved,
+    # and the message names where it came from
+    def no_scan(*args):
+        raise AssertionError("scan_band ran")
+
+    monkeypatch.setattr("slabrt.cli.scan_band", no_scan)
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(BAND_INI.format(band=band))
+    out = tmp_path / "o"
+    assert main([command, "--config", str(cfg), "--out", str(out)] + ESCAPE_FLAGS + flags) == 2
+    assert f"invalid band: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_lattice_cap_rejected(tmp_path, capsys, monkeypatch):
+    # only the rejection path: (b - a) L = 20000 lattice frequencies are never listed
+    def no_solve(*args):
+        raise AssertionError("growth_rate ran")
+
+    monkeypatch.setattr("slabrt.dispersion.growth_rate", no_solve)
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(BAND_INI.format(band="b = 10.0"))
+    assert main(["dispersion", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                 "--L", "2000"]) == 2
+    assert "20000 lattice frequencies, above the cap of 10000" in capsys.readouterr().err
 
 
 def test_workers_flag_rejected(unstable_cfg, tmp_path):

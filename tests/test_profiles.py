@@ -12,7 +12,7 @@ from slabrt import (
     validate_profile,
 )
 from slabrt.errors import NonPositiveDensity
-from slabrt.profiles import evaluation_points
+from slabrt.profiles import DensityProfile, evaluation_points
 
 
 def test_linear_up_report(profile_up):
@@ -68,6 +68,27 @@ def test_nonpositive_density_names_offender():
     assert "rho(" in str(exc.value)
     # sanity: the good profile still validates
     assert validate_profile(p).positive
+
+
+def test_nan_density_does_not_hide_negative():
+    # argmin stops at the first NaN; the NaN itself must count as not positive
+    ys = evaluation_points()
+    y_nan = ys[np.argmin(np.abs(ys - 0.3))]
+
+    def rho(y):
+        r = np.where(y > 0.8, -0.5, 1.0 + y)
+        return np.where(y == y_nan, np.nan, r)
+
+    with pytest.raises(NonPositiveDensity, match=rf"rho\({y_nan:.6g}\) = nan"):
+        validate_profile(DensityProfile(rho, np.ones_like))
+
+
+def test_non_finite_slope_rejected():
+    def drho(y):
+        return np.where(y > 0.5, np.nan, 1.0)
+
+    with pytest.raises(ValueError, match=r"density slope not finite: rho'\(0\.5"):
+        validate_profile(DensityProfile(lambda y: 1.0 + y, drho))
 
 
 def test_tabulated_requires_eight_nodes():
