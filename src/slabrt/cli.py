@@ -320,7 +320,7 @@ def cmd_mode(cfg: RunConfig) -> int:
             for y, ps, ph, pv in zip(grid.nodes, psi_f, ms.phi, ms.pi)]
     _write_csv(os.path.join(cfg.out_dir, "mode.csv"), ["y", "psi", "phi", "pi"], rows)
     payload = dict(ms.residuals)
-    payload.update({"lambda": ms.lam, "xi": ms.xi, "iters": ms.iters})
+    payload.update({"lambda": ms.lam, "xi": ms.forms.xi, "iters": ms.iters})
     _write_json(os.path.join(cfg.out_dir, "residuals.json"), payload)
     if "svg" in cfg.formats:
         y = grid.nodes

@@ -2,7 +2,7 @@
 band/lattice scans and the escape-time formula."""
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
@@ -19,27 +19,24 @@ REAL_EIG_TOL = 1e-8
 
 @dataclass(frozen=True, eq=False)
 class ModeSolution:
-    """A growing normal mode at frequency xi.
+    """A growing normal mode at frequency forms.xi.
 
     psi holds interior node values normalized to J(psi) = 1; phi and pi are
-    full-grid values filled by reconstruct_mode.  residuals carries the
+    full-grid values from reconstruct_mode.  residuals carries the
     fixed-point, divergence, momentum, fourth-order-equation and natural
     boundary-condition diagnostics.
     """
 
-    xi: float
     lam: float
     psi: np.ndarray
-    phi: np.ndarray | None
-    pi: np.ndarray | None
+    phi: np.ndarray
+    pi: np.ndarray
     residuals: dict
     iters: int
     forms: FormSet
 
     def psi_full(self) -> np.ndarray:
-        out = np.zeros(self.forms.grid.n)
-        out[1:-1] = self.psi
-        return out
+        return np.pad(self.psi, 1)
 
 
 @dataclass(frozen=True)
@@ -92,8 +89,8 @@ def growth_rate(p: DensityProfile, c: SlabConfig, grid: SpectralGrid,
     reaches it from below without a bracket, also with slip walls below
     xi_c where Gm is indefinite.  iters counts its eigensolves; the first,
     at s = 0, doubles as the stability test.  The minimizer at the root is
-    the mode shape; phi, pi and all residual diagnostics are filled in
-    before returning.
+    the mode shape, from which reconstruct_mode gives phi, pi and the
+    residual diagnostics.
     """
     what = f"growth-rate fixed point at xi = {xi:g}"
     fs = assemble_forms(p, c, grid, xi)
@@ -104,21 +101,20 @@ def growth_rate(p: DensityProfile, c: SlabConfig, grid: SpectralGrid,
     lam, it = _rayleigh_fixed_point(red.rayleigh_coefficients, what)
     if lam is None:
         return None
-    aval, v = red.pair(lam)
-    ms = ModeSolution(
-        xi=float(xi), lam=lam, psi=v, phi=None, pi=None,
-        residuals={"fixed_point_res": abs(aval + lam * lam)},
-        iters=it, forms=fs,
-    )
-    return reconstruct_mode(ms, c)
+    aval, psi = red.pair(lam)
+    phi, pi, residuals = reconstruct_mode(fs, c, lam, psi)
+    return ModeSolution(lam=lam, psi=psi, phi=phi, pi=pi,
+                        residuals={"fixed_point_res": abs(aval + lam * lam), **residuals},
+                        iters=it, forms=fs)
 
 
 def _wnorm(w: np.ndarray, f: np.ndarray) -> float:
     return float(np.sqrt(w @ (f * f)))
 
 
-def reconstruct_mode(ms: ModeSolution, c: SlabConfig) -> ModeSolution:
-    """Fill phi = -psi'/xi and pi from the mode shape; store all residuals.
+def reconstruct_mode(fs: FormSet, c: SlabConfig, lam: float,
+                     psi: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict]:
+    """phi = -psi'/xi, pi and the residuals of the mode (lam, psi) at fs.xi.
 
     The horizontal velocity amplitude and the pressure follow from the
     divergence constraint and the horizontal momentum balance, so both are
@@ -126,11 +122,10 @@ def reconstruct_mode(ms: ModeSolution, c: SlabConfig) -> ModeSolution:
     (machine zero by construction), both momentum components, the
     fourth-order equation, and the natural boundary conditions.
     """
-    fs = ms.forms
     g = fs.grid
-    xi, lam = ms.xi, ms.lam
+    xi = fs.xi
     xi2 = xi * xi
-    psi_f = ms.psi_full()
+    psi_f = np.pad(psi, 1)
     rho, drho = fs.rho_nodes, fs.drho_nodes
 
     d1 = g.D1 @ psi_f
@@ -168,8 +163,7 @@ def reconstruct_mode(ms: ModeSolution, c: SlabConfig) -> ModeSolution:
     bc0 = abs(d2[0] + (c.k0 / c.mu) * d1[0]) / scale
     bc1 = abs(d2[-1] - (c.k1 / c.mu) * d1[-1]) / scale
 
-    residuals = dict(ms.residuals)
-    residuals.update(
+    return phi, pi, dict(
         div_res=div_res,
         mom_x_res=mom_x_res,
         mom_y_res=mom_y_res,
@@ -177,7 +171,6 @@ def reconstruct_mode(ms: ModeSolution, c: SlabConfig) -> ModeSolution:
         bc_res_0=bc0,
         bc_res_1=bc1,
     )
-    return replace(ms, phi=phi, pi=pi, residuals=residuals)
 
 
 def companion_oracle(fs: FormSet):
@@ -304,19 +297,17 @@ def real_fields(ms: ModeSolution, lambda_star: float, x_grid: np.ndarray) -> Rea
         u      = 2 lambda_star (phi sin(x xi), psi cos(x xi))
         q      = 2 pi cos(x xi)
     """
-    if ms.phi is None or ms.pi is None:
-        raise ValueError("mode must be reconstructed before building real fields")
     fs = ms.forms
     x = np.asarray(x_grid, dtype=float)
-    cos = np.cos(x[:, None] * ms.xi)
-    sin = np.sin(x[:, None] * ms.xi)
+    cos = np.cos(x[:, None] * fs.xi)
+    sin = np.sin(x[:, None] * fs.xi)
     psi_f = ms.psi_full()
     varrho = -2.0 * cos * (fs.drho_nodes * psi_f)[None, :]
     u1 = 2.0 * lambda_star * sin * ms.phi[None, :]
     u2 = 2.0 * lambda_star * cos * psi_f[None, :]
     q = 2.0 * cos * ms.pi[None, :]
     return RealModeField(x=x, y=fs.grid.nodes, varrho=varrho, u1=u1, u2=u2, q=q,
-                         lambda_star=lambda_star, xi=ms.xi)
+                         lambda_star=lambda_star, xi=fs.xi)
 
 
 def escape_time(Lambda: float, epsilon: float, m0: float, delta: float,

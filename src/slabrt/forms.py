@@ -20,13 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ZeroFrequency
-from .grid import (
-    SpectralGrid,
-    _interpolation_matrix,
-    chebyshev_lobatto_nodes,
-    clenshaw_curtis_weights,
-    lobatto_barycentric_weights,
-)
+from .grid import SpectralGrid
 from .profiles import DensityProfile, SlabConfig
 
 
@@ -41,7 +35,7 @@ class FormSet:
         v' Jm  v = int rho (xi^2 psi^2 + |psi'|^2)
         Gm = E0m + xi^2 E1m
     slope_traces(grid) maps interior values to psi'(0) / psi'(1).
-    The grid and sampled density are kept for downstream diagnostics.
+    The grid and rho, rho' at its nodes (read-only) serve diagnostics.
     """
 
     xi: float
@@ -55,25 +49,15 @@ class FormSet:
     drho_nodes: np.ndarray
 
 
-@functools.cache
-def _fine_rule(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Nodes and weights of the doubled Clenshaw-Curtis rule plus the
-    resampling matrix from the n-node grid onto it."""
-    fine = chebyshev_lobatto_nodes(2 * n)
-    R = _interpolation_matrix(chebyshev_lobatto_nodes(n), lobatto_barycentric_weights(n), fine)
-    return fine, clenshaw_curtis_weights(2 * n), R
-
-
 def _sym(A: np.ndarray) -> np.ndarray:
     return 0.5 * (A + A.T)
 
 
 def _gram(grid: SpectralGrid, A: np.ndarray | None, weight=None) -> np.ndarray:
     """Interior Gram matrix of int weight(y) (A psi)(A phi) dy, A defaulting
-    to the identity, evaluated on the fine rule."""
-    nodes, w, R = _fine_rule(grid.n)
-    FA = R if A is None else R @ A
-    wq = w if weight is None else w * weight(nodes)
+    to the identity, evaluated on the grid's doubled rule."""
+    FA = grid.resample if A is None else grid.resample @ A
+    wq = grid.fine_w if weight is None else grid.fine_w * weight(grid.fine_nodes)
     return _sym((FA.T @ (wq[:, None] * FA))[1:-1, 1:-1])
 
 
@@ -105,36 +89,34 @@ def _dissipation_matrix(c: SlabConfig, g: SpectralGrid, K2: np.ndarray) -> np.nd
 
 @functools.lru_cache(maxsize=1)
 def _grams(p: DensityProfile, g: SpectralGrid) -> tuple:
-    """Read-only xi-independent interior Grams of p on g, kept for the latest
-    (p, g) pair (both hash by identity): curvature, gradient, mass,
-    rho-weighted gradient, rho-weighted mass, rho'-weighted mass."""
-    grams = (curvature_matrix(g), gradient_matrix(g), mass_matrix(g),
-             gradient_matrix(g, p.rho), mass_matrix(g, p.rho), mass_matrix(g, p.drho))
-    for A in grams:
+    """Read-only xi-independent data of p on g, kept for the latest (p, g)
+    pair (both hash by identity): the interior Grams curvature, gradient,
+    mass, rho-weighted gradient, rho-weighted mass, rho'-weighted mass, then
+    copies of rho and rho' at the nodes (freezing them leaves p's arrays alone)."""
+    out = (curvature_matrix(g), gradient_matrix(g), mass_matrix(g),
+           gradient_matrix(g, p.rho), mass_matrix(g, p.rho), mass_matrix(g, p.drho),
+           np.array(p.rho(g.nodes), dtype=float), np.array(p.drho(g.nodes), dtype=float))
+    for A in out:
         A.flags.writeable = False
-    return grams
+    return out
 
 
 def assemble_forms(p: DensityProfile, c: SlabConfig, g: SpectralGrid, xi: float) -> FormSet:
-    """Assemble all five forms for frequency xi (xi = 0 is rejected)."""
+    """Assemble all five forms for frequency xi; rejects xi = 0 and overflow."""
     if xi == 0.0:
         raise ZeroFrequency("quadratic forms require xi != 0")
-    xi2 = xi * xi
-
-    K2, K1, M, K1r, Mr, Mdr = _grams(p, g)
-    E0m = _dissipation_matrix(c, g, K2)
-    E1m = c.mu * (2.0 * K1 + xi2 * M)
-    E2m = c.g * xi2 * Mdr
-    Jm = K1r + xi2 * Mr
-    Gm = E0m + xi2 * E1m
-
-    return FormSet(
-        xi=float(xi),
-        E0m=E0m, E1m=E1m, E2m=E2m, Gm=Gm, Jm=Jm,
-        grid=g,
-        rho_nodes=np.asarray(p.rho(g.nodes), dtype=float),
-        drho_nodes=np.asarray(p.drho(g.nodes), dtype=float),
-    )
+    K2, K1, M, K1r, Mr, Mdr, rho, drho = _grams(p, g)
+    with np.errstate(over="ignore", invalid="ignore"):
+        xi2 = xi * xi
+        E0m = _dissipation_matrix(c, g, K2)
+        E1m = c.mu * (2.0 * K1 + xi2 * M)
+        E2m = c.g * xi2 * Mdr
+        Jm = K1r + xi2 * Mr
+        Gm = E0m + xi2 * E1m
+    if not all(np.isfinite(A).all() for A in (Gm, Jm, E2m)):
+        raise ValueError(f"quadratic forms at xi = {xi:g} overflow")
+    return FormSet(xi=float(xi), E0m=E0m, E1m=E1m, E2m=E2m, Gm=Gm, Jm=Jm,
+                   grid=g, rho_nodes=rho, drho_nodes=drho)
 
 
 def c0_constant(c: SlabConfig) -> float:

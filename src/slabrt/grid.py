@@ -1,5 +1,5 @@
 """Spectral collocation on [0, 1]: Chebyshev-Lobatto nodes, barycentric
-differentiation matrices up to fourth order, Clenshaw-Curtis quadrature."""
+differentiation matrices up to fourth order, Clenshaw-Curtis rules on n and 2n nodes."""
 
 from dataclasses import dataclass
 
@@ -18,6 +18,8 @@ class SpectralGrid:
     nodes ascend with nodes[0] == 0 and nodes[-1] == 1 exactly.  D1 is the
     barycentric differentiation matrix of the global interpolant; D2..D4 are
     its matrix powers.  w are Clenshaw-Curtis weights summing to 1.
+    fine_nodes, fine_w are the 2n-node Clenshaw-Curtis rule and resample the
+    2n x n matrix from node values to their interpolant at fine_nodes.
     """
 
     n: int
@@ -27,6 +29,9 @@ class SpectralGrid:
     D3: np.ndarray
     D4: np.ndarray
     w: np.ndarray
+    fine_nodes: np.ndarray
+    fine_w: np.ndarray
+    resample: np.ndarray
 
 
 def chebyshev_lobatto_nodes(n: int) -> np.ndarray:
@@ -104,7 +109,7 @@ def clenshaw_curtis_weights(n: int) -> np.ndarray:
 
 
 def build_grid(n: int) -> SpectralGrid:
-    """Assemble nodes, differentiation matrices D1..D4 and quadrature weights.
+    """Assemble nodes, differentiation matrices D1..D4 and both quadrature rules.
 
     Raises GridTooSmall for n < 16: the quadratic forms involve fourth-order
     derivatives and boundary traces that degenerate on coarser grids.
@@ -112,12 +117,16 @@ def build_grid(n: int) -> SpectralGrid:
     if n < MIN_NODES:
         raise GridTooSmall(f"need at least {MIN_NODES} nodes, got {n}")
     nodes = chebyshev_lobatto_nodes(n)
-    D1 = differentiation_matrix(nodes, lobatto_barycentric_weights(n))
+    bary_w = lobatto_barycentric_weights(n)
+    D1 = differentiation_matrix(nodes, bary_w)
     D2 = D1 @ D1
     D3 = D2 @ D1
     D4 = D2 @ D2
-    w = clenshaw_curtis_weights(n)
-    return SpectralGrid(n=n, nodes=nodes, D1=D1, D2=D2, D3=D3, D4=D4, w=w)
+    fine_nodes = chebyshev_lobatto_nodes(2 * n)
+    return SpectralGrid(n=n, nodes=nodes, D1=D1, D2=D2, D3=D3, D4=D4,
+                        w=clenshaw_curtis_weights(n), fine_nodes=fine_nodes,
+                        fine_w=clenshaw_curtis_weights(2 * n),
+                        resample=_interpolation_matrix(nodes, bary_w, fine_nodes))
 
 
 def _interpolation_matrix(nodes: np.ndarray, bary_w: np.ndarray, x) -> np.ndarray:

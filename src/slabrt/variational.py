@@ -258,7 +258,7 @@ def upper_bound_constants(p: DensityProfile, c: SlabConfig, grid: SpectralGrid,
     y0 = _bump_center(p)
     a, b = band
 
-    K2, K1, M, K1r, Mr, Mdr = _grams(p, grid)
+    K2, K1, M, K1r, Mr, Mdr, _, _ = _grams(p, grid)
     t0, t1 = slope_traces(grid)
 
     delta = width if width is not None else min(y0, 1.0 - y0)

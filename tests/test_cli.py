@@ -398,6 +398,35 @@ def test_zero_frequency_rejected(unstable_cfg, tmp_path):
                  "--xi", "0.0"]) == 2
 
 
+@pytest.mark.parametrize("flags", [
+    ["--xi", "1e200"],
+    ["--g", "1e308", "--xi", "2"],
+    ["--mu", "1e300", "--xi", "2"],
+])
+def test_mode_rejects_overflowing_forms(unstable_cfg, tmp_path, capsys, flags):
+    assert main(["mode", "--config", unstable_cfg, "--out", str(tmp_path / "o")] + flags) == 2
+    xi = float(flags[-1])
+    assert capsys.readouterr().err == f"error: quadratic forms at xi = {xi:g} overflow\n"
+
+
+@pytest.mark.parametrize("profile,argv,message", [
+    ("preset = linear-up", ["check", "--n-samples", "1"], "n_samples must be at least 2"),
+    ("preset = linear-up", ["evolve"], "evolve requires --xi"),
+    ("preset = linear-up", ["escape", "--epsilon", "0.1", "--delta", "1e-6"],
+     "escape variant A requires m0"),
+    ("preset = linear-up",
+     ["escape", "--Lambda", "1", "--m0", "0", "--epsilon", "0.1", "--delta", "1e-6"],
+     "m0 must be positive"),
+    ("preset = linear-up", ["check", "--g", "-1"], "gravity g must be nonnegative"),
+    ("preset = tanh-layer\nw = 0", ["check"], "tanh-layer width w must be positive"),
+])
+def test_input_errors_exit_2_with_message(tmp_path, capsys, profile, argv, message):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(UNSTABLE.format(out=tmp_path / "out").replace("preset = linear-up", profile))
+    assert main(argv[:1] + ["--config", str(cfg)] + argv[1:]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_inverted_band_rejected(tmp_path):
     cfg = tmp_path / "run.ini"
     cfg.write_text(

@@ -92,10 +92,10 @@ def test_reconstruction_divergence_free(default_mode):
 
 
 def test_reconstruction_zero_mode(default_mode, default_config):
-    ms0 = replace(default_mode, psi=np.zeros_like(default_mode.psi))
-    out = reconstruct_mode(ms0, default_config)
-    assert np.all(out.phi == 0.0)
-    assert np.all(out.pi == 0.0)
+    phi, pi, _ = reconstruct_mode(default_mode.forms, default_config, default_mode.lam,
+                                  np.zeros_like(default_mode.psi))
+    assert np.all(phi == 0.0)
+    assert np.all(pi == 0.0)
 
 
 def test_momentum_residuals(default_mode):
@@ -276,20 +276,12 @@ def test_real_fields_structure(default_mode, default_config):
         assert np.isrealobj(arr)
     # div u = 2 L* (xi phi + psi') cos(x xi) vanishes with the divergence
     g = default_mode.forms.grid
-    du = 2.0 * 0.5 * (default_mode.xi * default_mode.phi
+    du = 2.0 * 0.5 * (default_mode.forms.xi * default_mode.phi
                       + g.D1 @ default_mode.psi_full())
     assert np.max(np.abs(du)) <= 1e-8
     # both velocity components carry energy
     assert np.linalg.norm(f.u1) > 0.0
     assert np.linalg.norm(f.u2) > 0.0
-
-
-def test_real_fields_requires_reconstruction(default_mode):
-    from dataclasses import replace
-
-    bare = replace(default_mode, phi=None, pi=None)
-    with pytest.raises(ValueError):
-        real_fields(bare, 0.5, np.linspace(0, 1, 5))
 
 
 def test_escape_time_variant_a():

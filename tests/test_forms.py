@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from slabrt import (
+    DensityProfile,
     SlabConfig,
     assemble_forms,
     build_grid,
@@ -47,6 +48,25 @@ def test_forms_match_grams_when_interleaved():
                     assert np.array_equal(fs.E1m, 0.5 * (E1 + E1.T))
                     assert np.array_equal(fs.E2m, c.g * xi2 * mass_matrix(g, p.drho))
                     assert np.array_equal(fs.Jm, 0.5 * (J + J.T))
+
+
+def test_node_density_sampled_once_per_profile_and_grid(default_config, grid64):
+    base = preset_profile("linear-up")
+    calls = []
+
+    def rho(y):
+        calls.append(y)
+        return base.rho(y)
+
+    p = DensityProfile(rho, base.drho)
+    fs1 = assemble_forms(p, default_config, grid64, 1.0)
+    seen = len(calls)
+    fs2 = assemble_forms(p, default_config, grid64, 2.0)
+    assert len(calls) == seen
+    assert fs2.rho_nodes is fs1.rho_nodes and fs2.drho_nodes is fs1.drho_nodes
+    assert not fs1.rho_nodes.flags.writeable and not fs1.drho_nodes.flags.writeable
+    assert np.array_equal(fs1.rho_nodes, base.rho(grid64.nodes))
+    assert np.array_equal(fs1.drho_nodes, base.drho(grid64.nodes))
 
 
 def test_e0_parabola(grid32):

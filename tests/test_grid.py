@@ -27,6 +27,16 @@ def test_weights_sum_to_one():
         assert abs(g.w.sum() - 1.0) <= 1e-13
 
 
+@pytest.mark.parametrize("n", [16, 33, 64, 128])
+def test_grid_carries_doubled_rule(n):
+    g = build_grid(n)
+    assert g.fine_nodes.shape == g.fine_w.shape == (2 * n,)
+    assert g.resample.shape == (2 * n, n)
+    # the interpolant of y is y itself, so resampling the nodes gives the fine nodes
+    assert np.max(np.abs(g.resample @ g.nodes - g.fine_nodes)) <= 1e-15
+    assert abs(g.fine_w.sum() - 1.0) <= 1e-13
+
+
 @pytest.mark.parametrize("k", range(11))
 def test_quadrature_exact_on_monomials(grid64, k):
     # int_0^1 y^k dy = 1/(k+1)

@@ -3,6 +3,7 @@ import pytest
 import scipy.linalg as sla
 
 from slabrt import (
+    DensityProfile,
     SlabConfig,
     alpha,
     assemble_forms,
@@ -20,6 +21,7 @@ from slabrt import (
 from slabrt.errors import NoRTPoint, NoSignChange
 from slabrt.forms import curvature_matrix, gradient_matrix, mass_matrix, slope_traces
 from slabrt.variational import (
+    _bump_center,
     _rayleigh_fixed_point,
     _rayleigh_root,
     _ReducedPencil,
@@ -193,6 +195,40 @@ def test_alpha_upper_bound_chain_half_width(profile_up, default_config, grid128)
         for s in np.linspace(0.02, 2.0, 20):
             val, _ = alpha(fs, float(s))
             assert val <= s * C2 - C1 + 1e-12
+
+
+def test_alpha_upper_bound_chain_halved_bump(grid128):
+    # a thin heavy-over-light bump on a stably falling density: the default
+    # bump width sees mostly rho' < 0 and must be halved to fit the bump
+    def rho(y):
+        y = np.asarray(y, dtype=float)
+        return 2.0 - y + 0.05 * np.exp(-((y - 0.5) / 0.02) ** 2)
+
+    def drho(y):
+        u = (np.asarray(y, dtype=float) - 0.5) / 0.02
+        return -1.0 - 5.0 * u * np.exp(-u * u)
+
+    p = DensityProfile(rho, drho)
+    c = SlabConfig(mu=0.01, g=1.0, k0=0.0, k1=0.0, L=1.0)
+    band = (1.0, 10.0)
+    C1, C2 = upper_bound_constants(p, c, grid128, band)
+    y0 = _bump_center(p)
+    assert upper_bound_constants(p, c, grid128, band, width=min(y0, 1.0 - y0) / 32) == (C1, C2)
+    assert C1 > 0.0
+    for xi in (1.5, 2.0, 5.0):
+        fs = assemble_forms(p, c, grid128, xi)
+        for s in np.linspace(0.02, 2.0, 20):
+            val, _ = alpha(fs, float(s))
+            assert val <= s * C2 - C1 + 1e-12
+
+
+def test_upper_bound_constants_without_gravity(profile_up, grid64):
+    # g = 0 zeroes every gravity quotient, so no halving ever succeeds
+    c = SlabConfig(mu=0.01, g=0.0, k0=0.0, k1=0.0, L=1.0)
+    with pytest.raises(NoRTPoint, match="no bump width"):
+        upper_bound_constants(profile_up, c, grid64, (1.0, 10.0))
+    nums = compute_critical_numbers(profile_up, c, grid64)
+    assert nums.C1 is None and nums.C2 is None
 
 
 def test_alpha_lower_bound(profile_up, grid128):
