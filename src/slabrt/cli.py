@@ -349,7 +349,7 @@ def cmd_evolve(cfg: RunConfig) -> int:
         y = grid.nodes
         w_full = y * (1.0 - y) * np.sin(np.pi * y)
         w0 = 1e-3 * w_full[1:-1]
-        sigma0 = np.zeros(grid.n)
+        sigma0 = np.zeros_like(w0)
     dt = cfg.dt if cfg.dt is not None else dt
     t_end = cfg.t_end if cfg.t_end is not None else t_end
     if t_end / dt > MAX_STEPS:
@@ -358,7 +358,7 @@ def cmd_evolve(cfg: RunConfig) -> int:
     _write_csv(os.path.join(cfg.out_dir, "trajectory.csv"),
                ["t", "amplitude", "energy", "balance_residual"], sim.rows)
     try:
-        lam_fit = fit_growth_rate(sim.state.history)
+        lam_fit = fit_growth_rate(sim.rows)
     except InsufficientGrowth as exc:
         _write_json(os.path.join(cfg.out_dir, "fit.json"),
                     {"lambda_fit": None, "lambda_variational": lam,

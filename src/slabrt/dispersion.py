@@ -79,18 +79,17 @@ class RealModeField:
 
 def growth_rate(p: DensityProfile, c: SlabConfig, grid: SpectralGrid,
                 xi: float) -> ModeSolution | None:
-    """Growth rate and mode shape at frequency xi, or None when stable.
+    """Growth rate and mode shape at frequency xi, or None when alpha(0) >= 0.
 
-    The rate is the unique root of the strictly increasing map
-    F(s) = s^2 + alpha(s); F(0) = alpha(0) is negative exactly in the
-    unstable regime.  The root is the extreme eigenvalue of the quadratic
-    pencil s^2 Jm + s Gm - E2m, which has a min-max characterization, so
-    the safeguarded Rayleigh-functional iteration _rayleigh_fixed_point
-    reaches it from below without a bracket, also with slip walls below
-    xi_c where Gm is indefinite.  iters counts its eigensolves; the first,
-    at s = 0, doubles as the stability test.  The minimizer at the root is
-    the mode shape, from which reconstruct_mode gives phi, pi and the
-    residual diagnostics.
+    The rate is the growing root of F(s) = s^2 + alpha(s), the extreme
+    eigenvalue of the pencil s^2 Jm + s Gm - E2m, which the safeguarded
+    Rayleigh-functional iteration _rayleigh_fixed_point reaches from below
+    without a bracket; iters counts its eigensolves, the first (s = 0)
+    being the stability test.  None proves stability when Gm is positive
+    semidefinite (mu >= mu_c, or xi >= xi_c), where F increases on s >= 0.
+    Below xi_c slip walls can make Gm indefinite, and a growing mode with
+    alpha(0) >= 0 is then missed (ROADMAP item 2).  The minimizer at the
+    root is the mode shape; reconstruct_mode gives phi, pi and residuals.
     """
     what = f"growth-rate fixed point at xi = {xi:g}"
     fs = assemble_forms(p, c, grid, xi)
@@ -209,7 +208,7 @@ def companion_oracle(fs: FormSet):
     B[:m, :m] = A2
     B[m:, m:] = np.eye(m)
     try:
-        vals, _ = sla.eig(A, B)
+        vals = sla.eig(A, B, right=False)
     except sla.LinAlgError as exc:
         raise EigensolveFailure(f"companion eigensolve failed: {exc}") from exc
     # a singular Jm gives infinite eigenvalues; scaling them would make inf * 0

@@ -22,7 +22,6 @@ from .forms import (
     FormSet,
     _dissipation_matrix,
     _grams,
-    assemble_forms,
     c0_constant,
     curvature_matrix,
     gradient_matrix,
@@ -45,7 +44,6 @@ class CriticalNumbers:
     C0: float
     C1: float | None
     C2: float | None
-    frakS: float | None
     band: tuple[float, float]
 
 
@@ -301,17 +299,14 @@ def frak_S(fs: FormSet, s_cap: float = 1e6) -> float:
 
 
 def compute_critical_numbers(p: DensityProfile, c: SlabConfig, grid: SpectralGrid,
-                             b: float | None = None,
-                             frak_at: float | None = None) -> CriticalNumbers:
+                             b: float | None = None) -> CriticalNumbers:
     """Aggregate mu_c, xi_c, C0, C1, C2 and the admissible band (a, b).
 
     The band's lower edge is xi_c; the upper edge defaults to max(4a, 10).
     C1/C2 are None for profiles without a heavy-over-light point; when the
     band starts at 0 they are evaluated on the inset sub-band
     [min(1, b/10), b), since the gravity quotient degenerates as the lower
-    edge goes to 0 and any positive inset is admissible.  frakS (the first
-    rate at which the frozen-rate energy turns positive) depends on the
-    frequency, so it is filled only when frak_at is given.
+    edge goes to 0 and any positive inset is admissible.
     """
     C0 = c0_constant(c)
     mu_c = critical_viscosity_closed_form(c)
@@ -323,6 +318,5 @@ def compute_critical_numbers(p: DensityProfile, c: SlabConfig, grid: SpectralGri
         C1, C2 = upper_bound_constants(p, c, grid, (a_bound, b_edge))
     except NoRTPoint:
         C1, C2 = None, None
-    S = frak_S(assemble_forms(p, c, grid, frak_at)) if frak_at is not None else None
     return CriticalNumbers(mu_c=mu_c, xi_c=xi_c, C0=C0, C1=C1, C2=C2,
-                           frakS=S, band=(a, b_edge))
+                           band=(a, b_edge))

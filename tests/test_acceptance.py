@@ -175,14 +175,14 @@ def test_criterion_6_stability_negative_control():
         # the Lyapunov functional of the stable system
         fs = assemble_forms(down, c, g, 2.0)
         rng = np.random.default_rng(11)
-        state = EvolveState(t=0.0, sigma=np.zeros(g.n),
+        state = EvolveState(t=0.0, sigma=np.zeros(g.n - 2),
                             w=rng.standard_normal(g.n - 2) * 1e-3)
         stepper = CrankNicolsonStepper(c, fs, 1e-3)
         wq = g.w[1:-1]
         gx2 = c.g * fs.xi**2
 
         def total_energy(s):
-            buoy = 0.5 * gx2 * np.sum(wq * s.sigma[1:-1] ** 2 / (-fs.drho_nodes[1:-1]))
+            buoy = 0.5 * gx2 * np.sum(wq * s.sigma ** 2 / (-fs.drho_nodes[1:-1]))
             return kinetic_energy(s, fs) + buoy
 
         prev = total_energy(state)

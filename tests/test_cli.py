@@ -333,6 +333,19 @@ def test_evolve_short_run_reports_unfit(unstable_cfg, tmp_path, capsys):
     assert "need at least 10 samples" in capsys.readouterr().err
 
 
+def test_evolve_overflow_exits_4_naming_step(tmp_path, capsys):
+    # a long coarse run of the default case grows past the float range;
+    # the first sampled energy that overflows ends it with one message
+    cfg = tmp_path / "run.ini"
+    cfg.write_text((CONFIGS / "default.ini").read_text()
+                   + "\n[evolve]\ndt = 0.1\nt_end = 2000\n")
+    out = tmp_path / "ev-overflow"
+    assert main(["evolve", "--config", str(cfg), "--out", str(out),
+                 "--xi", "2", "--n", "32"]) == 4
+    err = capsys.readouterr().err
+    assert err == "error: amplitude overflows at step 9310, t = 931\n"
+
+
 def test_escape_scans_for_lambda(tmp_path):
     # without --Lambda, escape takes the lattice supremum of the scan
     cfg = str(CONFIGS / "default.ini")

@@ -24,7 +24,7 @@ def test_state_holds_only_time_fields_and_history():
 
 def test_zero_initial_data_stays_zero(profile_up, default_config, grid64):
     fs = assemble_forms(profile_up, default_config, grid64, 2.0)
-    state = EvolveState(t=0.0, sigma=np.zeros(grid64.n), w=np.zeros(grid64.n - 2))
+    state = EvolveState(t=0.0, sigma=np.zeros(grid64.n - 2), w=np.zeros(grid64.n - 2))
     stepper = CrankNicolsonStepper(default_config, fs, 1e-3)
     for _ in range(5):
         state = stepper.step(state)
@@ -51,7 +51,7 @@ def test_mode_initialized_growth(default_mode, default_config):
     lam = default_mode.lam
     w0, s0 = mode_initial_state(default_mode)
     sim = simulate(default_config, fs, w0, s0, 1e-3 / lam, 4.0 / lam)
-    lam_fit = fit_growth_rate(sim.state.history)
+    lam_fit = fit_growth_rate(sim.rows)
     assert abs(lam_fit - lam) / lam <= 1e-3
 
 
@@ -60,7 +60,7 @@ def test_pure_dissipation_energy_monotone(profile_up, grid64, rng):
     c = SlabConfig(mu=0.01, g=0.0, k0=-1.0, k1=-0.5, L=1.0)
     fs = assemble_forms(profile_up, c, grid64, 2.0)
     w0 = rng.standard_normal(grid64.n - 2)
-    sim = simulate(c, fs, w0, np.zeros(grid64.n), 1e-3, 0.5, sample_every=1)
+    sim = simulate(c, fs, w0, np.zeros(grid64.n - 2), 1e-3, 0.5, sample_every=1)
     energies = [row[2] for row in sim.rows]
     for a, b in zip(energies, energies[1:]):
         assert b <= a * (1.0 + 1e-13)
@@ -68,7 +68,7 @@ def test_pure_dissipation_energy_monotone(profile_up, grid64, rng):
 
 def test_balance_residual_zero_state(profile_up, default_config, grid64):
     fs = assemble_forms(profile_up, default_config, grid64, 2.0)
-    z = EvolveState(t=0.0, sigma=np.zeros(grid64.n), w=np.zeros(grid64.n - 2))
+    z = EvolveState(t=0.0, sigma=np.zeros(grid64.n - 2), w=np.zeros(grid64.n - 2))
     z2 = CrankNicolsonStepper(default_config, fs, 1e-3).step(z)
     assert energy_balance_residual(z, z2, default_config, fs) == 0.0
 
@@ -139,9 +139,9 @@ def test_generic_initial_data_converges_to_dominant_mode(profile_up, default_con
     w0 = rng.standard_normal(grid64.n - 2) * 1e-6
     # the fit uses the final half of the history, so this leaves a
     # transient of 6 e-folding times for the subdominant modes to die
-    sim = simulate(default_config, fs, w0, np.zeros(grid64.n), 1e-3 / lam_hat,
+    sim = simulate(default_config, fs, w0, np.zeros(grid64.n - 2), 1e-3 / lam_hat,
                    12.0 / lam_hat)
-    lam_fit = fit_growth_rate(sim.state.history)
+    lam_fit = fit_growth_rate(sim.rows)
     assert abs(lam_fit - lam_hat) / lam_hat <= 1e-3
 
 
@@ -154,10 +154,10 @@ def test_stable_total_energy_monotone(profile_down, grid64, rng):
     gx2 = c.g * 4.0
 
     def total_energy(s):
-        buoy = 0.5 * gx2 * np.sum(wq * s.sigma[1:-1] ** 2 / (-fs.drho_nodes[1:-1]))
+        buoy = 0.5 * gx2 * np.sum(wq * s.sigma ** 2 / (-fs.drho_nodes[1:-1]))
         return kinetic_energy(s, fs) + buoy
 
-    state = EvolveState(t=0.0, sigma=np.zeros(grid64.n),
+    state = EvolveState(t=0.0, sigma=np.zeros(grid64.n - 2),
                         w=rng.standard_normal(grid64.n - 2) * 1e-3)
     stepper = CrankNicolsonStepper(c, fs, 1e-3)
     prev = total_energy(state)

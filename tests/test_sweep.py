@@ -77,5 +77,5 @@ def test_random_configs_time_domain(grid64):
         assert ms is not None
         w0, s0 = mode_initial_state(ms)
         sim = simulate(c, ms.forms, w0, s0, 1e-3 / ms.lam, 4.0 / ms.lam)
-        lam_fit = fit_growth_rate(sim.state.history)
+        lam_fit = fit_growth_rate(sim.rows)
         assert abs(lam_fit - ms.lam) / ms.lam <= 1e-3, (name, c)

@@ -331,13 +331,6 @@ def test_compute_critical_numbers_aggregate(profile_up, grid128):
     assert nums.C1 > 0 and nums.C2 > 0
 
 
-def test_compute_critical_numbers_frak_at(profile_up, grid128):
-    c = SlabConfig(mu=0.01, g=1.0, k0=0.0, k1=0.0, L=1.0)
-    nums = compute_critical_numbers(profile_up, c, grid128, frak_at=2.0)
-    fs = assemble_forms(profile_up, c, grid128, 2.0)
-    assert nums.frakS == pytest.approx(frak_S(fs), abs=1e-10)
-
-
 def test_compute_critical_numbers_stable_profile(profile_down, grid64):
     c = SlabConfig(mu=1.0, g=1.0, k0=-1.0, k1=-1.0, L=1.0)
     nums = compute_critical_numbers(profile_down, c, grid64)
