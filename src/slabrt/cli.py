@@ -246,15 +246,15 @@ def _band(numbers, band_a=None) -> tuple:
     return a, b
 
 
-def _scan(cfg: RunConfig):
-    """Scan the configured band; returns (band, DispersionResult)."""
+def _scan(cfg: RunConfig, n_samples: int):
+    """(band, DispersionResult) over the band's lattice and n_samples uniform xi."""
     p, slab, grid = _model(cfg)
     a, b = band = _band(compute_critical_numbers(p, slab, grid, b=cfg.band_b), cfg.band_a)
     if (b - a) * cfg.L > MAX_SAMPLES:  # before the lattice n/L in (a, b) is listed
         raise ValueError(f"band ({a:g}, {b:g}) with L = {cfg.L:g} holds about "
                          f"{(b - a) * cfg.L:.6g} lattice frequencies, "
                          f"above the cap of {MAX_SAMPLES}")
-    return band, scan_band(p, slab, grid, band, cfg.n_samples)
+    return band, scan_band(p, slab, grid, band, n_samples)
 
 
 def cmd_check(cfg: RunConfig) -> int:
@@ -282,7 +282,7 @@ def cmd_critical(cfg: RunConfig) -> int:
 
 
 def cmd_dispersion(cfg: RunConfig) -> int:
-    band, result = _scan(cfg)
+    band, result = _scan(cfg, cfg.n_samples)
 
     rows = [(pt.xi, pt.lam, pt.alpha_residual, pt.iters) for pt in result.samples]
     _write_csv(os.path.join(cfg.out_dir, "dispersion.csv"),
@@ -381,7 +381,7 @@ def cmd_escape(cfg: RunConfig) -> int:
         raise ValueError("escape variant A requires m0")
     Lambda = cfg.Lambda
     if Lambda is None:
-        _, result = _scan(cfg)
+        _, result = _scan(cfg, 0)  # Lambda needs only the lattice
         if result.Lambda is None:
             print("error: no growing lattice mode; supply --Lambda explicitly",
                   file=sys.stderr)

@@ -30,7 +30,7 @@ class NoRTPoint(SlabRTError):
 
 
 class NoSignChange(UserWarning):
-    """Energy infimum stayed negative over the whole search range."""
+    """Gm is not positive definite, so the threshold rate frak_S is infinite."""
 
 
 class EmptyBand(SlabRTError):

@@ -82,10 +82,17 @@ def energy_balance_residual(before: EvolveState, after: EvolveState,
     O(dt^2), matching the scheme's consistency order.  Returns the defect
     normalized by the largest of the three terms.
     """
+    return _balance_defect(before, after, kinetic_energy(before, fs),
+                           kinetic_energy(after, fs), c, fs)
+
+
+def _balance_defect(before: EvolveState, after: EvolveState, e_before: float,
+                    e_after: float, c: SlabConfig, fs: FormSet) -> float:
+    """energy_balance_residual given both states' kinetic energies."""
     dt = after.t - before.t
     gx2 = c.g * fs.xi * fs.xi
     w_int = fs.grid.w[1:-1]
-    dE = (kinetic_energy(after, fs) - kinetic_energy(before, fs)) / dt
+    dE = (e_after - e_before) / dt
     diss = 0.5 * (float(after.w @ fs.Gm @ after.w) + float(before.w @ fs.Gm @ before.w))
     coup = 0.5 * gx2 * (float((w_int * after.sigma) @ after.w)
                         + float((w_int * before.sigma) @ before.w))
@@ -120,7 +127,7 @@ def simulate(c: SlabConfig, fs: FormSet, w0: np.ndarray, sigma0: np.ndarray,
                 e = kinetic_energy(state, fs)
                 if not math.isfinite(e):
                     raise SingularStep(f"amplitude overflows at step {i}, t = {state.t:g}")
-                bal = energy_balance_residual(prev, state, c, fs)
+                bal = _balance_defect(prev, state, kinetic_energy(prev, fs), e, c, fs)
                 rows.append((state.t, math.sqrt(2.0 * e), e, bal))
     state.history = [row[:2] for row in rows]
     return SimulationResult(state=state, rows=rows)

@@ -81,10 +81,16 @@ def slope_traces(g: SpectralGrid) -> tuple[np.ndarray, np.ndarray]:
     return g.D1[0, 1:-1].copy(), g.D1[-1, 1:-1].copy()
 
 
+def wall_matrices(c: SlabConfig, g: SpectralGrid) -> tuple[np.ndarray, np.ndarray]:
+    """Interior matrices of the slip wall terms k0 |psi'(0)|^2 and k1 |psi'(1)|^2."""
+    t0, t1 = slope_traces(g)
+    return c.k0 * np.outer(t0, t0), c.k1 * np.outer(t1, t1)
+
+
 def _dissipation_matrix(c: SlabConfig, g: SpectralGrid, K2: np.ndarray) -> np.ndarray:
     """Interior matrix E0m of int mu |psi''|^2 - k1 |psi'(1)|^2 - k0 |psi'(0)|^2 (K2: curvature)."""
-    t0, t1 = slope_traces(g)
-    return c.mu * K2 - c.k1 * np.outer(t1, t1) - c.k0 * np.outer(t0, t0)
+    W0, W1 = wall_matrices(c, g)
+    return c.mu * K2 - W1 - W0
 
 
 @functools.lru_cache(maxsize=1)

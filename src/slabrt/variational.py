@@ -21,12 +21,12 @@ from .errors import ConvergenceFailure, EigensolveFailure, NoRTPoint, NoSignChan
 from .forms import (
     FormSet,
     _dissipation_matrix,
-    _grams,
+    assemble_forms,
     c0_constant,
     curvature_matrix,
     gradient_matrix,
     mass_matrix,
-    slope_traces,
+    wall_matrices,
 )
 from .grid import SpectralGrid
 from .profiles import DensityProfile, SlabConfig, evaluation_points, validate_profile
@@ -172,13 +172,12 @@ def critical_viscosity_closed_form(c: SlabConfig) -> float:
 def critical_viscosity_numerical(c: SlabConfig, grid: SpectralGrid) -> float:
     """Supremum of the boundary-slip quotient over curvature, clamped at 0.
 
-    The numerator is the rank-<=2 trace form k1 |psi'(1)|^2 + k0 |psi'(0)|^2
-    and the denominator is int |psi''|^2; the discrete sup is the largest
-    eigenvalue of the corresponding pencil.
+    The numerator is the rank-<=2 trace form k1 |psi'(1)|^2 + k0 |psi'(0)|^2,
+    the sum of the wall matrices that E0m subtracts, and the denominator is
+    int |psi''|^2; the discrete sup is the largest eigenvalue of that pencil.
     """
-    t0, t1 = slope_traces(grid)
-    N = c.k1 * np.outer(t1, t1) + c.k0 * np.outer(t0, t0)
-    val, _ = pencil_extreme(N, curvature_matrix(grid))
+    W0, W1 = wall_matrices(c, grid)
+    val, _ = pencil_extreme(W1 + W0, curvature_matrix(grid))
     return max(0.0, val)
 
 
@@ -242,58 +241,46 @@ def upper_bound_constants(p: DensityProfile, c: SlabConfig, grid: SpectralGrid,
                           width: float | None = None) -> tuple[float, float]:
     """Constants C1, C2 with alpha(s) <= s C2 - C1 on the whole band.
 
-    A bump test function centred at a heavy-over-light point is sampled on
-    the grid; C1 is its gravity quotient with the band edges substituted
-    unfavourably (a^2 in the numerator, b^2 in the denominator) and C2 its
-    dissipation quotient with the substitution the other way round.  Since
-    both constants are evaluated with the same discrete forms used by alpha,
-    the bound holds exactly at the discrete level for every s > 0.
+    A bump test function v centred at a heavy-over-light point is sampled
+    on the grid; with the forms assembled at both band edges,
+    C1 = v' E2m(a) v / v' Jm(b) v and C2 = v' Gm(b) v / v' Jm(a) v, the
+    edges substituted unfavourably.  Since both constants are evaluated with
+    the forms alpha uses, the bound holds exactly at the discrete level for
+    every s > 0.  A band edge of 0 raises ZeroFrequency.
 
     The default width min(y0, 1 - y0) is halved until the bump sees a
     positive density gradient, which must happen by continuity.
     """
     validate_profile(p)  # positivity; _bump_center raises NoRTPoint
     y0 = _bump_center(p)
-    a, b = band
-
-    K2, K1, M, K1r, Mr, Mdr, _, _ = _grams(p, grid)
-    t0, t1 = slope_traces(grid)
+    fa, fb = (assemble_forms(p, c, grid, xi) for xi in band)
 
     delta = width if width is not None else min(y0, 1.0 - y0)
     for _ in range(60):
         v = bump_values(grid.nodes, y0, delta)[1:-1]
-        num1 = c.g * a * a * float(v @ Mdr @ v)
-        if num1 > 0.0 and float(v @ M @ v) > 0.0:
+        num1 = float(v @ fa.E2m @ v)
+        if num1 > 0.0:
             break
         delta *= 0.5
     else:
         raise NoRTPoint("no bump width with positive gravity quotient")
-
-    C1 = num1 / float(v @ (b * b * Mr + K1r) @ v)
-    numG = (c.mu * float(v @ (K2 + 2.0 * b * b * K1 + b ** 4 * M) @ v)
-            - c.k1 * float(t1 @ v) ** 2 - c.k0 * float(t0 @ v) ** 2)
-    C2 = numG / float(v @ (a * a * Mr + K1r) @ v)
-    return C1, C2
+    return num1 / float(v @ fb.Jm @ v), float(v @ fb.Gm @ v) / float(v @ fa.Jm @ v)
 
 
-def frak_S(fs: FormSet, s_cap: float = 1e6) -> float:
+def frak_S(fs: FormSet) -> float:
     """Infimum of the rates at which the frozen-rate energy turns positive.
 
     alpha(s) >= 0 exactly when s Gm - E2m is positive semidefinite, so with
     Gm positive definite the threshold is max(0, theta) for theta the
     largest eigenvalue of E2m v = theta Gm v.  Returns +inf (with a
     NoSignChange warning) when Gm is not positive definite, where alpha
-    tends to -inf, or when theta exceeds s_cap.
+    tends to -inf.
     """
     try:
         theta, _ = pencil_extreme(fs.E2m, fs.Gm)
     except EigensolveFailure:
         warnings.warn(NoSignChange("Gm is not positive definite, so alpha tends to -inf; "
                                    "threshold infinite"))
-        return float("inf")
-    if theta > s_cap:
-        warnings.warn(NoSignChange(
-            f"alpha stayed negative up to s = {s_cap:g}; threshold effectively infinite"))
         return float("inf")
     return max(0.0, theta)
 

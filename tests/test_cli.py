@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from slabrt import growth_rate
 from slabrt.cli import main
 from schema_check import validate_file
 
@@ -356,6 +357,31 @@ def test_escape_scans_for_lambda(tmp_path):
     Lambda = json.loads((disp / "summary.json").read_text())["Lambda"]
     payload = validate_file(esc / "escape.json", "escape.schema.json")
     assert payload["Lambda"] == Lambda == pytest.approx(0.590316442714717, rel=1e-9)
+
+
+def test_escape_solves_only_the_lattice(unstable_cfg, tmp_path, monkeypatch):
+    # escape writes only Lambda, so it skips the 6 uniform samples and
+    # solves the lattice 1, 2, 3, 4 inside the band (0, 5)
+    calls = []
+
+    def counted(p, c, grid, xi):
+        calls.append(xi)
+        return growth_rate(p, c, grid, xi)
+
+    monkeypatch.setattr("slabrt.dispersion.growth_rate", counted)
+    assert main(["escape", "--config", unstable_cfg, "--out", str(tmp_path / "esc"),
+                 "--epsilon", "0.1", "--delta", "1e-6", "--m0", "1"]) == 0
+    assert calls == [1.0, 2.0, 3.0, 4.0]
+
+
+@pytest.mark.parametrize("command", ["critical", "dispersion", "escape"])
+def test_huge_band_edge_exits_2_naming_overflow(tmp_path, capsys, command):
+    # the bound constants assemble the forms at b, whose xi^4 terms overflow
+    cfg = tmp_path / "huge.ini"
+    cfg.write_text("[profile]\npreset = linear-up\n[band]\nb = 1e80\n")
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o"),
+                 "--epsilon", "0.1", "--delta", "1e-6", "--m0", "1"]) == 2
+    assert capsys.readouterr().err == "error: quadratic forms at xi = 1e+80 overflow\n"
 
 
 def test_escape_stable_without_lambda(tmp_path, capsys):

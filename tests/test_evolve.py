@@ -73,6 +73,32 @@ def test_balance_residual_zero_state(profile_up, default_config, grid64):
     assert energy_balance_residual(z, z2, default_config, fs) == 0.0
 
 
+def test_simulate_computes_each_sampled_energy_once(profile_up, default_config, grid32,
+                                                   monkeypatch):
+    # 4,000 steps sampled every 10th: one energy for the start, then the
+    # sampled state's and its predecessor's for each of the 400 rows
+    fs = assemble_forms(profile_up, default_config, grid32, 2.0)
+    w0 = 1e-3 * np.sin(np.pi * grid32.nodes[1:-1])
+    calls = []
+
+    def counted(state, forms):
+        calls.append(state.t)
+        return kinetic_energy(state, forms)
+
+    monkeypatch.setattr("slabrt.evolve.kinetic_energy", counted)
+    sim = simulate(default_config, fs, w0, np.zeros_like(w0), 1e-3, 4.0)
+    assert len(sim.rows) == 401
+    assert len(calls) == 801
+    # the row's balance is the public residual of its last step
+    monkeypatch.undo()
+    stepper = CrankNicolsonStepper(default_config, fs, 1e-3)
+    state = EvolveState(t=0.0, sigma=np.zeros_like(w0), w=w0)
+    for _ in range(10):
+        prev, state = state, stepper.step(state)
+    short = simulate(default_config, fs, w0, np.zeros_like(w0), 1e-3, 0.01)
+    assert short.rows[1][3] == energy_balance_residual(prev, state, default_config, fs)
+
+
 def test_balance_residual_small_at_fine_step(default_mode, default_config):
     fs = default_mode.forms
     w0, s0 = mode_initial_state(default_mode)

@@ -1,0 +1,70 @@
+"""Golden digests of the CLI outputs on the shipped configs.
+
+Each case runs one command in-process on configs/default.ini or
+configs/stable.ini and compares its exit code and the sha256 of its stdout
+and of every file it writes with tests/golden_outputs.json.  The stable
+`evolve` runs from a copy of stable.ini with [evolve] t_end = 3 so the
+whole file stays near 2 s.  A change that alters an output on purpose
+updates its digest (regenerate with `python tests/test_golden_outputs.py`)
+and logs the old and new values in CHANGES.md.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from slabrt.cli import main
+
+HERE = Path(__file__).resolve().parent
+CONFIGS = HERE.parent / "configs"
+GOLDEN = HERE / "golden_outputs.json"
+
+COMMANDS = {
+    "check": ["check"],
+    "critical": ["critical"],
+    "dispersion": ["dispersion"],
+    "mode": ["mode", "--xi", "2"],
+    "evolve": ["evolve", "--xi", "2"],
+    "escape": ["escape", "--epsilon", "0.1", "--delta", "1e-6", "--m0", "1"],
+}
+CASES = [f"{config}/{command}" for config in ("default", "stable") for command in COMMANDS]
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def run_case(case: str, work: Path) -> dict:
+    """Exit code and digests of stdout and every written file for one case."""
+    config, command = case.split("/")
+    path = CONFIGS / f"{config}.ini"
+    if case == "stable/evolve":
+        path = work / "stable-short.ini"
+        path.write_text((CONFIGS / "stable.ini").read_text() + "\n[evolve]\nt_end = 3\n")
+    out = work / "out"
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = main([*COMMANDS[command], "--config", str(path), "--out", str(out)])
+    files = sorted(f for f in out.rglob("*") if f.is_file()) if out.exists() else []
+    return {"exit": code,
+            "stdout": _sha(stdout.getvalue().encode()),
+            "files": {f.relative_to(out).as_posix(): _sha(f.read_bytes()) for f in files}}
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_golden_output(case, tmp_path):
+    assert run_case(case, tmp_path) == json.loads(GOLDEN.read_text())[case]
+
+
+if __name__ == "__main__":
+    golden = {}
+    for case in CASES:
+        with tempfile.TemporaryDirectory() as tmp:
+            golden[case] = run_case(case, Path(tmp))
+    GOLDEN.write_text(json.dumps(golden, indent=2, sort_keys=True) + "\n")
+    print(f"wrote {GOLDEN}")

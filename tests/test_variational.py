@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -18,7 +20,7 @@ from slabrt import (
     preset_profile,
     upper_bound_constants,
 )
-from slabrt.errors import NoRTPoint, NoSignChange
+from slabrt.errors import NoRTPoint, NoSignChange, ZeroFrequency
 from slabrt.forms import curvature_matrix, gradient_matrix, mass_matrix, slope_traces
 from slabrt.variational import (
     _bump_center,
@@ -222,6 +224,12 @@ def test_alpha_upper_bound_chain_halved_bump(grid128):
             assert val <= s * C2 - C1 + 1e-12
 
 
+def test_upper_bound_constants_reject_zero_band_edge(profile_up, default_config, grid64):
+    # the forms are assembled at both edges, and xi = 0 has none
+    with pytest.raises(ZeroFrequency):
+        upper_bound_constants(profile_up, default_config, grid64, (0.0, 10.0))
+
+
 def test_upper_bound_constants_without_gravity(profile_up, grid64):
     # g = 0 zeroes every gravity quotient, so no halving ever succeeds
     c = SlabConfig(mu=0.01, g=0.0, k0=0.0, k1=0.0, L=1.0)
@@ -311,14 +319,16 @@ def test_frak_s_zero_for_stable_profile(profile_down, grid64):
     assert frak_S(assemble_forms(profile_down, c, grid64, 1.5)) == 0.0
 
 
-def test_frak_s_reports_no_sign_change(grid64):
-    # gravity so strong the energy stays negative through the search cap
+def test_frak_s_finite_for_strong_gravity(grid64):
+    # Gm is positive definite, so even a huge threshold is finite and
+    # returned without a NoSignChange warning
     p = preset_profile("linear-up")
     c = SlabConfig(mu=1e-9, g=1e9, k0=0.0, k1=0.0, L=1.0)
     fs = assemble_forms(p, c, grid64, 2.0)
-    with pytest.warns(NoSignChange):
-        S = frak_S(fs, s_cap=10.0)
-    assert S == np.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", NoSignChange)
+        S = frak_S(fs)
+    assert S == pytest.approx(2.0794e16, rel=1e-4)
 
 
 def test_compute_critical_numbers_aggregate(profile_up, grid128):
