@@ -7,11 +7,17 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .errors import EigensolveFailure, EmptyBand, NonPositiveHorizon
+from .errors import ConvergenceFailure, EigensolveFailure, EmptyBand, NonPositiveHorizon
 from .forms import FormSet, assemble_forms
 from .grid import SpectralGrid
 from .profiles import DensityProfile, SlabConfig
-from .variational import _fix_sign, _rayleigh_fixed_point, _rayleigh_root, _ReducedPencil
+from .variational import (
+    _fix_sign,
+    _rayleigh_fixed_point,
+    _rayleigh_root,
+    _ReducedPencil,
+    critical_viscosity_closed_form,
+)
 
 # discretization noise puts tiny imaginary parts on real eigenvalues
 REAL_EIG_TOL = 1e-8
@@ -79,17 +85,29 @@ class RealModeField:
 
 def growth_rate(p: DensityProfile, c: SlabConfig, grid: SpectralGrid,
                 xi: float) -> ModeSolution | None:
-    """Growth rate and mode shape at frequency xi, or None when alpha(0) >= 0.
+    """Growth rate and mode shape at frequency xi, or None when a bound
+    proves that no mode grows.
 
     The rate is the growing root of F(s) = s^2 + alpha(s), the extreme
-    eigenvalue of the pencil s^2 Jm + s Gm - E2m, which the safeguarded
-    Rayleigh-functional iteration _rayleigh_fixed_point reaches from below
-    without a bracket; iters counts its eigensolves, the first (s = 0)
-    being the stability test.  None proves stability when Gm is positive
-    semidefinite (mu >= mu_c, or xi >= xi_c), where F increases on s >= 0.
-    Below xi_c slip walls can make Gm indefinite, and a growing mode with
-    alpha(0) >= 0 is then missed (ROADMAP item 2).  The minimizer at the
-    root is the mode shape; reconstruct_mode gives phi, pi and residuals.
+    eigenvalue of the pencil s^2 Jm + s Gm - E2m.  F is the minimum over
+    u' Jm u = 1 of the Rayleigh parabolas s^2 + s u' Gm u - u' E2m u, whose
+    vertices lie at or below -gamma / 2, gamma the smallest eigenvalue of
+    Gm reduced by Jm.  So F increases strictly on s >= max(0, -gamma / 2):
+    from a start there with F < 0, the safeguarded Rayleigh-functional
+    iteration _rayleigh_fixed_point rises to the one root above it, the
+    largest; F >= 0 at the start proves that no mode grows faster.  The
+    first eigensolve is at s = 0.  When F(0) >= 0 and mu >= mu_c, the slip
+    terms cannot win, Gm is positive semidefinite and stability is proved
+    without gamma.  Otherwise slip walls may have made Gm indefinite, and
+    F can start positive, dip below zero and rise again.  One more
+    eigensolve then gives gamma; alpha(s) >= s gamma + alpha(0), so None
+    is returned when gamma >= 0 (as for xi >= xi_c) or
+    gamma^2 / 4 < alpha(0), and else the iteration restarts at
+    s0 = -gamma / 2.  F(s0) >= 0 there raises ConvergenceFailure rather
+    than answering "stable": no mode grows faster than s0, but (0, s0) is
+    not proved stable.  iters counts every eigensolve.  The minimizer at
+    the root is the mode shape; reconstruct_mode gives phi, pi and
+    residuals.
     """
     what = f"growth-rate fixed point at xi = {xi:g}"
     fs = assemble_forms(p, c, grid, xi)
@@ -97,9 +115,23 @@ def growth_rate(p: DensityProfile, c: SlabConfig, grid: SpectralGrid,
         red = _ReducedPencil(fs.Jm, fs.Gm, fs.E2m)
     except EigensolveFailure as exc:
         raise EigensolveFailure(f"{what}: {exc}") from exc
-    lam, it = _rayleigh_fixed_point(red.rayleigh_coefficients, what)
+    # the first solve, at s = 0, also gives alpha(0) = -e for the bound below
+    at0 = red.rayleigh_coefficients(0.0)
+    lam, it = _rayleigh_fixed_point(
+        lambda s: at0 if s == 0.0 else red.rayleigh_coefficients(s), what)
     if lam is None:
-        return None
+        if c.mu >= critical_viscosity_closed_form(c):
+            return None
+        gamma = float(sla.eigh(red.A1t, eigvals_only=True, subset_by_index=[0, 0])[0])
+        if gamma >= 0.0 or gamma * gamma / 4.0 < -at0[2]:
+            return None
+        s0 = -0.5 * gamma
+        lam, steps = _rayleigh_fixed_point(red.rayleigh_coefficients, what, s0)
+        if lam is None:
+            raise ConvergenceFailure(f"{what}: Gm is indefinite; no mode grows faster than "
+                                     f"-gamma/2 = {s0:g}, but stability on (0, {s0:g}) "
+                                     "is not proved")
+        it += 1 + steps
     aval, psi = red.pair(lam)
     phi, pi, residuals = reconstruct_mode(fs, c, lam, psi)
     return ModeSolution(lam=lam, psi=psi, phi=phi, pi=pi,

@@ -42,28 +42,34 @@ class EvolveState:
 
 
 class CrankNicolsonStepper:
-    """Prefactored trapezoidal stepper for one (FormSet, dt) pair."""
+    """Prefactored trapezoidal stepper for one (FormSet, dt) pair: A is
+    LU-factored once, and each step solves through LAPACK getrs on the
+    stored factors."""
 
     def __init__(self, c: SlabConfig, fs: FormSet, dt: float):
-        if dt <= 0:
-            raise ValueError("dt must be positive")
+        if not (dt > 0 and math.isfinite(dt)):
+            raise ValueError("dt must be positive and finite")
         self.dt = dt
         self.gx2 = c.g * fs.xi * fs.xi
         self.w_int = fs.grid.w[1:-1]
         self.drho_int = fs.drho_nodes[1:-1]
+        self.half_dt_drho = dt * self.drho_int * 0.5
         D = np.diag(self.w_int * self.drho_int)
         A = fs.Jm / dt + 0.5 * fs.Gm - 0.25 * self.gx2 * dt * D
         self.B = fs.Jm / dt - 0.5 * fs.Gm + 0.25 * self.gx2 * dt * D
         self.lu = sla.lu_factor(A)
         if np.any(np.diag(self.lu[0]) == 0.0):
             raise SingularStep("implicit matrix is numerically singular")
+        self._getrs, = sla.get_lapack_funcs(("getrs",), (self.lu[0],))
 
     def step(self, state: EvolveState) -> EvolveState:
         rhs = self.B @ state.w - self.gx2 * (self.w_int * state.sigma)
-        w_new = sla.lu_solve(self.lu, rhs, check_finite=False)
-        if not np.all(np.isfinite(w_new)):
+        w_new, info = self._getrs(*self.lu, rhs, overwrite_b=True)
+        if info != 0:
+            raise ValueError(f"illegal value in argument {-info} of getrs")
+        if not np.isfinite(w_new).all():
             raise SingularStep(f"non-finite velocity at t = {state.t + self.dt:g}")
-        sigma_new = state.sigma - self.dt * self.drho_int * 0.5 * (state.w + w_new)
+        sigma_new = state.sigma - self.half_dt_drho * (state.w + w_new)
         return EvolveState(t=state.t + self.dt, sigma=sigma_new, w=w_new)
 
 

@@ -103,26 +103,28 @@ class _ReducedPencil:
         return 1.0, float(u @ self.A1t @ u), float(u @ self.A0t @ u)
 
 
-def _rayleigh_fixed_point(coefficients, what: str):
+def _rayleigh_fixed_point(coefficients, what: str, t0: float = 0.0):
     """Growing root t* of a quadratic eigenproblem with a min-max
     characterization, by safeguarded iteration on its Rayleigh functional.
 
     coefficients(t) returns (a, b, e), a > 0, for the extreme eigenvector
     at t; the next t is the growing root of a t^2 + b t - e = 0.  By the
-    min-max property that root lies at or below t*, so from t = 0 the
-    iterates rise monotonically, converge quadratically and need no bracket
-    (Voss & Werner, Math. Meth. Appl. Sci. 4 (1982) 415).  The iteration
-    stops once an increase is at most FIXED_POINT_TOL * max(1, t), which
-    includes the stall at the roundoff floor; the test relies on the start
-    t = 0 lying below the root, since from above the first step would fall
-    and stop at a mere lower bound.  Returns (root, steps) with steps the
-    number of eigensolves, and (None, 1) when e <= 0 at t = 0, i.e. no
-    growing root exists.
+    min-max property that root lies at or below t*, so from a start t0
+    below t* the iterates rise monotonically, converge quadratically and
+    need no bracket (Voss & Werner, Math. Meth. Appl. Sci. 4 (1982) 415).
+    The iteration stops once an increase is at most
+    FIXED_POINT_TOL * max(1, t), which includes the stall at the roundoff
+    floor; the test relies on the start lying below the root, since from
+    above the first step would fall and stop at a mere lower bound.
+    Returns (root, steps) with steps the number of eigensolves, and
+    (None, 1) when the start is not below a root: a t0^2 + b t0 - e >= 0,
+    which at t0 = 0 reads e <= 0 and means no growing root where the
+    functional increases on t >= 0.
     """
-    t = 0.0
+    t = t0
     for steps in range(1, RAYLEIGH_CAP + 1):
         a, b, e = coefficients(t)
-        if steps == 1 and e <= 0.0:
+        if steps == 1 and a * t * t + b * t - e >= 0.0:
             return None, steps
         nxt = _rayleigh_root(a, b, e)
         if nxt is None:  # only roundoff at the root can make it complex

@@ -291,6 +291,18 @@ def test_mode_stable_exit_code(stable_cfg, tmp_path):
                  "--xi", "2.0"]) == 3
 
 
+def test_mode_finds_growth_where_gm_is_indefinite(tmp_path, capsys):
+    # light over heavy with strong slip: alpha(0) >= 0, yet a mode grows
+    cfg = tmp_path / "indefinite.ini"
+    cfg.write_text(STABLE.format(out=tmp_path / "out")
+                   .replace("k0 = -1.0", "k0 = 6.0").replace("k1 = -0.5", "k1 = 6.0"))
+    out = tmp_path / "mode-indefinite"
+    assert main(["mode", "--config", str(cfg), "--out", str(out), "--xi", "2"]) == 0
+    payload = validate_file(out / "residuals.json", "mode_residuals.schema.json")
+    assert payload["lambda"] == pytest.approx(43.19034068, rel=1e-9)
+    assert "lambda = 43.19034068" in capsys.readouterr().out
+
+
 def test_mode_unconverged_exit_code(unstable_cfg, tmp_path, capsys, monkeypatch):
     monkeypatch.setattr("slabrt.variational.RAYLEIGH_CAP", 1)
     assert main(["mode", "--config", unstable_cfg, "--out", str(tmp_path / "o"),

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from slabrt import (
     SlabConfig,
@@ -26,6 +27,52 @@ def test_stable_profile_has_no_growing_mode(profile_down, grid64):
     c = SlabConfig(mu=0.5, g=1.0, k0=0.0, k1=0.0, L=1.0)
     for xi in (0.5, 2.0, 5.0):
         assert growth_rate(profile_down, c, grid64, xi) is None
+
+
+# light over heavy, but slip walls with k0 = k1 = 6 > 3 mu make Gm
+# indefinite below xi_c = 6.13, where F(s) = s^2 + alpha(s) starts at
+# alpha(0) >= 0, dips below zero and rises again
+INDEFINITE = SlabConfig(mu=0.5, g=1.0, k0=6.0, k1=6.0, L=1.0)
+
+
+def test_growth_rate_finds_mode_where_gm_is_indefinite(profile_down, grid64):
+    ms = growth_rate(profile_down, INDEFINITE, grid64, 2.0)
+    lam_qz, _ = companion_oracle(ms.forms)
+    assert ms.lam == pytest.approx(lam_qz, rel=1e-10)
+    assert lam_qz == pytest.approx(43.19034068, rel=1e-9)
+    assert ms.residuals["fixed_point_res"] <= 1e-8 * ms.lam * ms.lam
+
+
+@pytest.mark.parametrize("mu, k0, k1", [(0.5, -1.0, -0.5), (3.5, 6.0, 6.0)])
+def test_rejection_above_mu_c_costs_one_eigensolve(profile_down, grid64, monkeypatch,
+                                                  mu, k0, k1):
+    # mu >= mu_c (0 and 3 here) proves Gm positive semidefinite, so
+    # rejecting a frequency needs no eigensolve beyond the one at s = 0
+    eigh, calls = sla.eigh, []
+    monkeypatch.setattr(sla, "eigh", lambda *a, **k: calls.append(1) or eigh(*a, **k))
+    c = SlabConfig(mu=mu, g=1.0, k0=k0, k1=k1, L=1.0)
+    assert growth_rate(profile_down, c, grid64, 2.0) is None
+    assert len(calls) == 1
+
+
+def test_growth_rate_stable_by_bound_where_gm_is_indefinite(profile_down, grid64):
+    # strong stratification: alpha(0) exceeds gamma^2 / 4, so
+    # alpha(s) >= s gamma + alpha(0) > -s^2 proves stability
+    c = replace(INDEFINITE, g=1e4)
+    fs = assemble_forms(profile_down, c, grid64, 6.12)
+    assert np.linalg.eigvalsh(fs.Gm)[0] < 0.0
+    assert growth_rate(profile_down, c, grid64, 6.12) is None
+    assert companion_oracle(fs) is None
+
+
+def test_growth_rate_never_answers_stable_without_proof(profile_down, grid64):
+    # neither bound holds and F(-gamma/2) >= 0: growth above -gamma/2 is
+    # ruled out, growth below it is not, so no rate and no "stable"
+    with pytest.raises(ConvergenceFailure,
+                       match=r"^growth-rate fixed point at xi = 6: Gm is indefinite; no mode "
+                             r"grows faster than -gamma/2 = 0\.\d+, but stability on "
+                             r"\(0, 0\.\d+\) is not proved$"):
+        growth_rate(profile_down, INDEFINITE, grid64, 6.0)
 
 
 def test_growth_rate_fixed_point_residual(default_mode):

@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from slabrt import (
     CrankNicolsonStepper,
@@ -14,7 +15,7 @@ from slabrt import (
     mode_initial_state,
     simulate,
 )
-from slabrt.errors import InsufficientGrowth
+from slabrt.errors import InsufficientGrowth, SingularStep
 
 
 def test_state_holds_only_time_fields_and_history():
@@ -196,5 +197,41 @@ def test_stable_total_energy_monotone(profile_down, grid64, rng):
 
 def test_stepper_rejects_bad_dt(profile_up, default_config, grid64):
     fs = assemble_forms(profile_up, default_config, grid64, 2.0)
-    with pytest.raises(ValueError):
-        CrankNicolsonStepper(default_config, fs, 0.0)
+    for dt in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="dt must be positive and finite"):
+            CrankNicolsonStepper(default_config, fs, dt)
+
+
+@pytest.mark.parametrize("stable", [False, True])
+def test_step_matches_lu_solve_bit_for_bit(profile_exp, profile_down, default_config, grid32,
+                                           stable):
+    # the stepper's getrs call must reproduce scipy's lu_solve on the same
+    # factors and the same sigma update exactly, growing or decaying; xi = 3
+    # and rho' = e^y keep the products inexact, and dt = 0.1 with a large
+    # sigma keeps the coupling term from vanishing in rhs, so a regrouping shows
+    if stable:
+        p, c = profile_down, SlabConfig(mu=0.5, g=1.0, k0=-1.0, k1=-0.5, L=1.0)
+    else:
+        p, c = profile_exp, default_config
+    fs = assemble_forms(p, c, grid32, 3.0)
+    stepper = CrankNicolsonStepper(c, fs, 0.1)
+    y = grid32.nodes[1:-1]
+    state = ref = EvolveState(t=0.0, sigma=100.0 * np.cos(3.0 * y) * y * (1.0 - y),
+                              w=np.sin(np.pi * y))
+    for _ in range(50):
+        state = stepper.step(state)
+        rhs = stepper.B @ ref.w - stepper.gx2 * (stepper.w_int * ref.sigma)
+        w_new = sla.lu_solve(stepper.lu, rhs, check_finite=False)
+        sigma_new = ref.sigma - stepper.dt * stepper.drho_int * 0.5 * (ref.w + w_new)
+        ref = EvolveState(t=ref.t + stepper.dt, sigma=sigma_new, w=w_new)
+        assert state.t == ref.t
+        assert np.array_equal(state.w, ref.w) and np.array_equal(state.sigma, ref.sigma)
+
+
+def test_step_rejects_non_finite_velocity(profile_up, default_config, grid32):
+    fs = assemble_forms(profile_up, default_config, grid32, 2.0)
+    w = np.ones(grid32.n - 2)
+    w[3] = np.nan
+    state = EvolveState(t=0.0, sigma=np.zeros_like(w), w=w)
+    with pytest.raises(SingularStep, match=r"^non-finite velocity at t = 0\.001$"):
+        CrankNicolsonStepper(default_config, fs, 1e-3).step(state)

@@ -17,6 +17,7 @@ from slabrt import (
     real_fields,
 )
 from slabrt.forms import curvature_matrix, slope_traces
+from slabrt.variational import _rayleigh_fixed_point, _ReducedPencil
 
 
 def inviscid_rate(g, beta, xi, mode=1):
@@ -53,6 +54,25 @@ def test_inviscid_rate_increases_with_frequency_then_saturates(grid128, profile_
     for lam, ex in zip(lams, exact):
         assert abs(lam - ex) / ex <= 5e-3
     assert lams[-1] < 1.0  # sqrt(g beta) ceiling
+
+
+def test_no_slip_limit(grid64, profile_up):
+    # psi' = 0 at both walls (Jiang, Jiang & Ni's Dirichlet case) is the
+    # k -> -inf limit of the slip walls: restricting the forms to the null
+    # space of the slope traces gives lam_D, and lam(k) falls to it
+    # monotonically from above, with (lam - lam_D) |k| -> 0.009778
+    fs = assemble_forms(profile_up, SlabConfig(mu=0.01), grid64, 2.0)
+    N = sla.null_space(np.vstack(slope_traces(grid64)))
+    red = _ReducedPencil(*(N.T @ A @ N for A in (fs.Jm, fs.Gm, fs.E2m)))
+    lam_d, _ = _rayleigh_fixed_point(red.rayleigh_coefficients, "no-slip rate")
+    assert lam_d == pytest.approx(0.30067626457, abs=1e-9)
+    ks = (10.0, 1.0, 0.0, -1.0, -10.0, -100.0, -1e3, -1e4)
+    lams = [growth_rate(profile_up, SlabConfig(mu=0.01, k0=k, k1=k), grid64, 2.0).lam
+            for k in ks]
+    assert all(a > b for a, b in zip(lams, lams[1:]))
+    assert lams[-1] > lam_d
+    for k, lam in zip(ks[-3:], lams[-3:]):
+        assert (lam - lam_d) * abs(k) == pytest.approx(0.009778, rel=0.01)
 
 
 def test_boundary_quotient_never_exceeds_closed_form(grid64, rng):

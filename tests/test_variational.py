@@ -384,3 +384,14 @@ def test_rayleigh_fixed_point_diagonal_pencil(monkeypatch):
 def test_rayleigh_fixed_point_rejects_nonnegative_alpha0():
     red = _ReducedPencil(np.eye(2), np.diag([1.0, 2.0]), np.diag([-1.0, 0.0]))
     assert _rayleigh_fixed_point(red.rayleigh_coefficients, "test root") == (None, 1)
+
+
+def test_rayleigh_fixed_point_from_a_later_start():
+    # alpha(s) = min(1 - 4 s, s): F(0) = 0 rejects the start t = 0, yet
+    # F(2) = -3 < 0 and the root above it is 2 + sqrt(3); F(4) = 1 >= 0
+    # rejects that start as it rejects t = 0
+    red = _ReducedPencil(np.eye(2), np.diag([-4.0, 1.0]), np.diag([-1.0, 0.0]))
+    assert _rayleigh_fixed_point(red.rayleigh_coefficients, "test root") == (None, 1)
+    root, _ = _rayleigh_fixed_point(red.rayleigh_coefficients, "test root", 2.0)
+    assert root == pytest.approx(2.0 + np.sqrt(3.0), rel=1e-15)
+    assert _rayleigh_fixed_point(red.rayleigh_coefficients, "test root", 4.0) == (None, 1)
