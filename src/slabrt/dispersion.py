@@ -2,6 +2,7 @@
 band/lattice scans and the escape-time formula."""
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +22,8 @@ from .variational import (
 
 # discretization noise puts tiny imaginary parts on real eigenvalues
 REAL_EIG_TOL = 1e-8
+# companion_oracle's shift in the scaled variable s = lam / theta
+SHIFT = -1.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -207,59 +210,71 @@ def reconstruct_mode(fs: FormSet, c: SlabConfig, lam: float,
 def companion_oracle(fs: FormSet):
     """Largest real eigenvalue of lam^2 Jm v + lam Gm v - E2m v = 0.
 
-    First-companion linearization to the generalized problem
-    [[-Gm, E2m], [I, 0]] z = lam diag(Jm, I) z with z = (lam v, v), solved
-    by the QZ algorithm.  This is an independent check on the variational
-    fixed point: a completely different factorization path produces the
-    same rate.  Returns (lam, v) with v J-normalized, or None when no
-    positive real eigenvalue exists.
+    With lam = theta s, theta = sqrt(|E2m| / |Jm|), the quadratic
+    s^2 A2 + s A1 + A0 (A2 = theta^2 Jm, A1 = theta Gm, A0 = -E2m) has the
+    first-companion pencil A z = s B z, A = [[-A1, -A0], [I, 0]],
+    B = diag(A2, I), z = (s v, v).  Shifting and inverting about s = SHIFT
+    turns it into the standard problem C z = nu z, C = (A - SHIFT B)^-1 B,
+    nu = 1 / (s - SHIFT), whose eigenvalues Hessenberg QR finds.  The block
+    structure needs only one m x m LU solve with P = SHIFT^2 A2 + SHIFT A1
+    + A0: C's lower block rows are X = -P^-1 [A2, A1 + SHIFT A2] and its
+    upper ones SHIFT X + [0, I].  This is an independent check on the
+    variational fixed point: a completely different factorization path
+    produces the same rate.  Returns (lam, v) with v J-normalized, or None
+    when no real eigenvalue exceeds REAL_EIG_TOL * theta.  Raises
+    EigensolveFailure when P is singular or so ill-conditioned that the
+    solve would warn, that is when the shift is (nearly) an eigenvalue.
 
-    The eigenvalue parameter is rescaled before linearizing (lam =
-    sqrt(|E2|/|J|) s, pencil normalized to unit leading norm): the raw
-    blocks differ by many orders of magnitude and unbalanced QZ loses
-    several digits of the small physical eigenvalues.  The returned
-    eigenvector is the null direction of the symmetric pencil evaluated at
-    the converged eigenvalue, which is far better conditioned than the
-    companion's bottom block.
+    theta sets the scale of the shift: lam = -theta lies below every
+    growing rate and near the origin, so the eigenvalues closest to it,
+    the small physical ones, get the largest |nu| and the best relative
+    accuracy.  The returned eigenvector is the null direction of the
+    symmetric pencil evaluated at the converged eigenvalue, which is far
+    better conditioned than the companion's bottom block.
     """
     m = fs.Jm.shape[0]
     nJ = np.linalg.norm(fs.Jm)
-    nG = np.linalg.norm(fs.Gm)
     nE = np.linalg.norm(fs.E2m)
     theta = np.sqrt(nE / nJ) if nE > 0 and nJ > 0 else 1.0
-    delta = 2.0 / (nE + theta * nG + 1e-300)
 
-    A2 = (delta * theta * theta) * fs.Jm
-    A1 = (delta * theta) * fs.Gm
-    A0 = -delta * fs.E2m
-    A = np.zeros((2 * m, 2 * m))
-    A[:m, :m] = -A1
-    A[:m, m:] = -A0
-    A[m:, :m] = np.eye(m)
-    B = np.zeros((2 * m, 2 * m))
-    B[:m, :m] = A2
-    B[m:, m:] = np.eye(m)
+    A2 = (theta * theta) * fs.Jm
+    A1 = theta * fs.Gm
+    A0 = -fs.E2m
+    P = SHIFT * SHIFT * A2 + SHIFT * A1 + A0
     try:
-        vals = sla.eig(A, B, right=False)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", sla.LinAlgWarning)
+            X = -sla.solve(P, np.hstack([A2, A1 + SHIFT * A2]), assume_a="general")
+    except (sla.LinAlgError, sla.LinAlgWarning) as exc:
+        raise EigensolveFailure(f"companion shift lam = {SHIFT * theta:g} at xi = {fs.xi:g} "
+                                f"is (nearly) an eigenvalue: {exc}") from exc
+    C = np.empty((2 * m, 2 * m))
+    C[:m] = SHIFT * X
+    C[:m, m:] += np.eye(m)
+    C[m:] = X
+    try:
+        nu = sla.eig(C, right=False, overwrite_a=True)
     except sla.LinAlgError as exc:
-        raise EigensolveFailure(f"companion eigensolve failed: {exc}") from exc
-    # a singular Jm gives infinite eigenvalues; scaling them would make inf * 0
-    vals = theta * vals[np.isfinite(vals)]
+        raise EigensolveFailure(f"companion eigensolve failed at xi = {fs.xi:g}: {exc}") from exc
+    # a singular Jm gives nu = 0, an infinite lam
+    nu = nu[np.abs(nu) > 2 * m * np.finfo(float).eps * np.max(np.abs(nu))]
+    vals = theta * (SHIFT + 1.0 / nu)
 
+    # the shifted solve leaves zero eigenvalues at about 1e-12 theta, so a
+    # rate counts as growing only above the real-part tolerance
     real = np.abs(vals.imag) <= REAL_EIG_TOL * (1.0 + np.abs(vals.real))
-    good = real & (vals.real > 0.0)
+    good = real & (vals.real > REAL_EIG_TOL * theta)
     if not np.any(good):
         return None
     lam = float(np.max(vals.real[good]))
 
-    # Rayleigh polish: QZ's absolute error can swamp small eigenvalues, so
-    # alternate the symmetric null direction at lam with the exact growing
-    # root of the quadratic Rayleigh functional (cubic local convergence).
-    v = None
+    # Rayleigh polish: alternate the symmetric null direction at lam with
+    # the exact growing root of the quadratic Rayleigh functional (cubic
+    # local convergence).  At the largest real root P(lam) is positive
+    # semidefinite, so its eigenvalue nearest zero is the smallest.
     for _ in range(3):
         P = lam * lam * fs.Jm + lam * fs.Gm - fs.E2m
-        w, V = sla.eigh(P)
-        v = V[:, int(np.argmin(np.abs(w)))]
+        v = sla.eigh(P, subset_by_index=[0, 0])[1][:, 0]
         lam_new = _rayleigh_root(v @ fs.Jm @ v, v @ fs.Gm @ v, v @ fs.E2m @ v)
         if lam_new is None or lam_new <= 0.0:
             break

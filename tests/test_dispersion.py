@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -33,6 +34,7 @@ def test_stable_profile_has_no_growing_mode(profile_down, grid64):
 # indefinite below xi_c = 6.13, where F(s) = s^2 + alpha(s) starts at
 # alpha(0) >= 0, dips below zero and rises again
 INDEFINITE = SlabConfig(mu=0.5, g=1.0, k0=6.0, k1=6.0, L=1.0)
+SLIP_BELOW_XI_C = SlabConfig(mu=0.02, g=1.0, k0=0.5, k1=1.0, L=1.0)
 
 
 def test_growth_rate_finds_mode_where_gm_is_indefinite(profile_down, grid64):
@@ -103,8 +105,9 @@ def test_companion_eigenvector_residual(default_mode):
 
 
 def test_companion_drops_infinite_eigenvalues(profile_up, default_config, grid32):
-    # a singular Jm makes QZ return infinite eigenvalues; they must be dropped
-    # before scaling (inf * 0 would raise under error::RuntimeWarning)
+    # a singular Jm gives infinite eigenvalues, zeros of the shifted and
+    # inverted problem; they must be dropped before 1/nu (a division by zero
+    # would raise under error::RuntimeWarning)
     fs = assemble_forms(profile_up, default_config, grid32, 2.0)
     J = fs.Jm.copy()
     J[0, :] = 0.0
@@ -120,6 +123,71 @@ def test_companion_none_for_dissipative_system(grid64):
     c = SlabConfig(mu=0.3, g=1.0, k0=0.0, k1=0.0, L=1.0)
     fs = assemble_forms(constant_profile(1.0), c, grid64, 1.5)
     assert companion_oracle(fs) is None
+
+
+@pytest.mark.parametrize("g_big, g_last", [(0.0, 0.0), (1e8, 1e-9)])
+def test_companion_rejects_shift_at_an_eigenvalue(profile_up, default_config, grid32,
+                                                  g_big, g_last):
+    # Jm = E2m = I gives theta = 1 and P(SHIFT) = -Gm: zero for Gm = 0 (the
+    # shift is an eigenvalue), else of condition 1e17 (one within 1e-9)
+    fs = assemble_forms(profile_up, default_config, grid32, 2.0)
+    eye = np.eye(fs.Jm.shape[0])
+    Gm = np.diag(np.r_[np.full(eye.shape[0] - 1, g_big), g_last])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(EigensolveFailure, match=r"^companion shift lam = -1 at xi = 2 is "):
+            companion_oracle(replace(fs, Jm=eye, Gm=Gm, E2m=eye))
+    assert not caught
+
+
+def _qz_reference(fs):
+    """Largest real eigenvalue (or None) and largest real part of a complex
+    eigenvalue (or None) of the unshifted, theta-scaled companion by QZ."""
+    m = fs.Jm.shape[0]
+    theta = np.sqrt(np.linalg.norm(fs.E2m) / np.linalg.norm(fs.Jm))
+    Z, eye = np.zeros((m, m)), np.eye(m)
+    A = np.block([[-theta * fs.Gm, fs.E2m], [eye, Z]])
+    B = np.block([[theta * theta * fs.Jm, Z], [Z, eye]])
+    vals = sla.eig(A, B, right=False)
+    vals = theta * vals[np.isfinite(vals)]
+    real = np.abs(vals.imag) <= 1e-8 * (1.0 + np.abs(vals.real))
+    growing = vals.real[real & (vals.real > 0.0)]
+    rate = float(np.max(growing)) if growing.size else None
+    cplx = float(np.max(vals.real[~real])) if np.any(~real) else None
+    return rate, cplx
+
+
+@pytest.mark.parametrize("name, c, xi", [
+    ("linear-up", SlabConfig(mu=0.01, g=1.0, k0=0.0, k1=0.0, L=1.0), 2.0),
+    ("linear-down", SlabConfig(mu=0.5, g=1.0, k0=-1.0, k1=-0.5, L=1.0), 2.0),
+    ("tanh-layer", SLIP_BELOW_XI_C, 2.0),
+    ("linear-down", INDEFINITE, 2.0),
+    ("linear-down", INDEFINITE, 6.05),
+])
+def test_companion_matches_qz_reference(grid64, name, c, xi):
+    fs = assemble_forms(preset_profile(name), c, grid64, xi)
+    rate, cplx = _qz_reference(fs)
+    oracle = companion_oracle(fs)
+    assert (oracle is None) == (rate is None)
+    if rate is None:
+        # a complex pair may still grow where Gm is indefinite, but not
+        # faster than -gamma/2, the bound growth_rate reports
+        gamma = sla.eigh(fs.Gm, fs.Jm, eigvals_only=True, subset_by_index=[0, 0])[0]
+        assert cplx is None or cplx <= max(0.0, -0.5 * gamma)
+        return
+    assert oracle[0] == pytest.approx(rate, rel=1e-6)
+    # the premise of a real-rate method: no complex mode outgrows the real one
+    assert cplx is None or cplx <= rate
+
+
+def test_complex_pair_grows_where_gm_is_indefinite(profile_down, grid64):
+    # just below xi_c no real eigenvalue grows, yet a complex pair does
+    # (0.3396 +- 0.5162i, the same at n = 32 and 128), so the frequency
+    # growth_rate refuses to call stable is in fact unstable
+    fs = assemble_forms(profile_down, INDEFINITE, grid64, 6.05)
+    rate, cplx = _qz_reference(fs)
+    assert rate is None and companion_oracle(fs) is None
+    assert cplx == pytest.approx(0.339619, rel=1e-5)
 
 
 def test_growth_rate_quadratic_bound(default_mode, profile_up, default_config):
@@ -179,9 +247,6 @@ def test_slip_config_mode(profile_up, grid128):
     lam_hat, _ = companion_oracle(ms.forms)
     assert abs(lam_hat - ms.lam) / lam_hat <= 1e-6
     assert ms.residuals["bc_res_0"] <= 1e-4 and ms.residuals["bc_res_1"] <= 1e-4
-
-
-SLIP_BELOW_XI_C = SlabConfig(mu=0.02, g=1.0, k0=0.5, k1=1.0, L=1.0)
 
 
 @pytest.mark.parametrize("xi", [2.0, 4.0])
