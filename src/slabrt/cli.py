@@ -91,9 +91,12 @@ class RunConfig:
         return SlabConfig(mu=self.mu, g=self.g, k0=self.k0, k1=self.k1, L=self.L)
 
     def profile(self):
-        if self.profile_csv:
-            return profile_from_csv(self.profile_csv)
         params = {k: v for k, v in (("y_c", self.y_c), ("w", self.w)) if v is not None}
+        if self.profile_csv:
+            if params:
+                raise ValueError(f"[profile] {next(iter(params))} is not read by the "
+                                 f"tabulated profile {self.profile_csv!r}")
+            return profile_from_csv(self.profile_csv)
         return preset_profile(self.preset, **params)
 
 

@@ -107,10 +107,10 @@ def growth_rate(p: DensityProfile, c: SlabConfig, grid: SpectralGrid,
     is returned when gamma >= 0 (as for xi >= xi_c) or
     gamma^2 / 4 < alpha(0), and else the iteration restarts at
     s0 = -gamma / 2.  F(s0) >= 0 there raises ConvergenceFailure rather
-    than answering "stable": no mode grows faster than s0, but (0, s0) is
-    not proved stable.  iters counts every eigensolve.  The minimizer at
-    the root is the mode shape; reconstruct_mode gives phi, pi and
-    residuals.
+    than answering "stable": no mode grows faster than s0, but an
+    oscillatory (complex) mode may grow on (0, s0).  iters counts every
+    eigensolve.  The minimizer at the root is the mode shape;
+    reconstruct_mode gives phi, pi and residuals.
     """
     what = f"growth-rate fixed point at xi = {xi:g}"
     fs = assemble_forms(p, c, grid, xi)
@@ -132,8 +132,8 @@ def growth_rate(p: DensityProfile, c: SlabConfig, grid: SpectralGrid,
         lam, steps = _rayleigh_fixed_point(red.rayleigh_coefficients, what, s0)
         if lam is None:
             raise ConvergenceFailure(f"{what}: Gm is indefinite; no mode grows faster than "
-                                     f"-gamma/2 = {s0:g}, but stability on (0, {s0:g}) "
-                                     "is not proved")
+                                     f"-gamma/2 = {s0:g}, but an oscillatory (complex) "
+                                     f"mode may grow on (0, {s0:g})")
         it += 1 + steps
     aval, psi = red.pair(lam)
     phi, pi, residuals = reconstruct_mode(fs, c, lam, psi)

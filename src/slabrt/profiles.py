@@ -67,11 +67,18 @@ class SlabConfig:
             raise ValueError("period scale L must be positive")
 
 
+_PRESETS = {"exp": (), "linear-up": (), "linear-down": (), "tanh-layer": ("y_c", "w")}
+
+
 def preset_profile(name: str, **params) -> DensityProfile:
     """Analytic presets: "exp", "linear-up", "linear-down", "tanh-layer".
 
-    The tanh layer takes a centre y_c and width w (defaults 0.5 and 0.1).
+    The tanh layer takes a centre y_c and width w (defaults 0.5 and 0.1);
+    any other parameter is rejected by name.
     """
+    for key in params:
+        if name in _PRESETS and key not in _PRESETS[name]:
+            raise ValueError(f"preset {name!r} takes no parameter {key!r}")
     if name == "exp":
         return DensityProfile(np.exp, np.exp)
     if name == "linear-up":

@@ -292,10 +292,11 @@ def compute_critical_numbers(p: DensityProfile, c: SlabConfig, grid: SpectralGri
     """Aggregate mu_c, xi_c, C0, C1, C2 and the admissible band (a, b).
 
     The band's lower edge is xi_c; the upper edge defaults to max(4a, 10).
-    C1/C2 are None for profiles without a heavy-over-light point; when the
-    band starts at 0 they are evaluated on the inset sub-band
-    [min(1, b/10), b), since the gravity quotient degenerates as the lower
-    edge goes to 0 and any positive inset is admissible.
+    C1/C2 are None for profiles without a heavy-over-light point and on an
+    empty band (b at or below its lower edge); when the band starts at 0
+    they are evaluated on the inset sub-band [min(1, b/10), b), since the
+    gravity quotient degenerates as the lower edge goes to 0 and any
+    positive inset is admissible.
     """
     C0 = c0_constant(c)
     mu_c = critical_viscosity_closed_form(c)
@@ -303,9 +304,11 @@ def compute_critical_numbers(p: DensityProfile, c: SlabConfig, grid: SpectralGri
     a = xi_c
     b_edge = float(b) if b is not None else max(4.0 * a, 10.0)
     a_bound = a if a > 0.0 else min(1.0, 0.1 * b_edge)
-    try:
-        C1, C2 = upper_bound_constants(p, c, grid, (a_bound, b_edge))
-    except NoRTPoint:
-        C1, C2 = None, None
+    C1 = C2 = None
+    if a_bound < b_edge:  # an empty band has no constants; the caller names it
+        try:
+            C1, C2 = upper_bound_constants(p, c, grid, (a_bound, b_edge))
+        except NoRTPoint:
+            pass
     return CriticalNumbers(mu_c=mu_c, xi_c=xi_c, C0=C0, C1=C1, C2=C2,
                            band=(a, b_edge))

@@ -1,62 +1,20 @@
-"""Tiny draft-07 subset validator for the shipped output schemas."""
+"""Validate the CLI's JSON outputs against the draft-07 schemas in schemas/."""
 
 import json
 import pathlib
 
+import jsonschema
+
 SCHEMA_DIR = pathlib.Path(__file__).resolve().parent.parent / "schemas"
 
-_TYPES = {
-    "object": dict,
-    "array": list,
-    "string": str,
-    "boolean": bool,
-    "null": type(None),
-}
-
-
-def _type_ok(value, tname):
-    if tname == "number":
-        return isinstance(value, (int, float)) and not isinstance(value, bool)
-    if tname == "integer":
-        return isinstance(value, int) and not isinstance(value, bool)
-    return isinstance(value, _TYPES[tname])
-
-
-def validate(obj, schema, path="$"):
-    t = schema.get("type")
-    if t is not None:
-        allowed = t if isinstance(t, list) else [t]
-        if not any(_type_ok(obj, a) for a in allowed):
-            raise AssertionError(f"{path}: expected type {t}, got {type(obj).__name__}")
-    if "enum" in schema and obj not in schema["enum"]:
-        raise AssertionError(f"{path}: {obj!r} not in enum {schema['enum']}")
-    if isinstance(obj, dict):
-        for key in schema.get("required", []):
-            if key not in obj:
-                raise AssertionError(f"{path}: missing required key {key!r}")
-        props = schema.get("properties", {})
-        if schema.get("additionalProperties") is False:
-            extra = set(obj) - set(props)
-            if extra:
-                raise AssertionError(f"{path}: unexpected keys {sorted(extra)}")
-        for key, sub in props.items():
-            if key in obj:
-                validate(obj[key], sub, f"{path}.{key}")
-    if isinstance(obj, list):
-        if "minItems" in schema and len(obj) < schema["minItems"]:
-            raise AssertionError(f"{path}: fewer than {schema['minItems']} items")
-        if "maxItems" in schema and len(obj) > schema["maxItems"]:
-            raise AssertionError(f"{path}: more than {schema['maxItems']} items")
-        item_schema = schema.get("items")
-        if item_schema:
-            for i, item in enumerate(obj):
-                validate(item, item_schema, f"{path}[{i}]")
+# Draft 7 counts 5.0 as an integer; the outputs write every count as a Python int
+_TYPES = jsonschema.Draft7Validator.TYPE_CHECKER.redefine(
+    "integer", lambda _, v: isinstance(v, int) and not isinstance(v, bool))
+Validator = jsonschema.validators.extend(jsonschema.Draft7Validator, type_checker=_TYPES)
 
 
 def validate_file(json_path, schema_name):
-    with open(json_path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
-    with open(SCHEMA_DIR / schema_name, "r", encoding="utf-8") as fh:
-        schema = json.load(fh)
-    validate(obj, schema)
+    schema = json.loads((SCHEMA_DIR / schema_name).read_text(encoding="utf-8"))
+    obj = json.loads(pathlib.Path(json_path).read_text(encoding="utf-8"))
+    jsonschema.validate(obj, schema, cls=Validator)  # runs check_schema first
     return obj

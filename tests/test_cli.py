@@ -541,6 +541,53 @@ def test_scan_rejects_bad_lower_edge(tmp_path, capsys, monkeypatch, command, ban
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["critical", "dispersion", "escape"])
+def test_empty_band_named(tmp_path, capsys, command):
+    # b = 0 leaves no band above xi_c = 0: the band is named, not the
+    # zero frequency a bound constant would be evaluated at
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(BAND_INI.format(band="b = 0"))
+    out = tmp_path / "o"
+    assert main([command, "--config", str(cfg), "--out", str(out)] + ESCAPE_FLAGS) == 2
+    assert capsys.readouterr().err == ("error: invalid band: critical frequency xi_c = 0 "
+                                       "is not below the upper edge b = 0\n")
+    assert not out.exists()
+
+
+def test_dispersion_band_a_below_empty_critical_band(tmp_path, capsys):
+    # b = 2 lies below xi_c = 2.399, so the critical band is empty, but an
+    # explicit [band] a = 0.1 still scans (0.1, 2)
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[profile]\npreset = linear-up\n[physics]\nmu = 0.25\nk0 = 1\nk1 = 1\n"
+                   "[grid]\nn = 48\n[band]\na = 0.1\nb = 2.0\n[scan]\nn_samples = 4\n")
+    out = tmp_path / "o"
+    assert main(["critical", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "xi_c = 2.39936 is not below the upper edge b = 2" in capsys.readouterr().err
+    assert main(["dispersion", "--config", str(cfg), "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["Lambda"] == 1.969138703343954 and summary["band"] == [0.1, 2.0]
+
+
+@pytest.mark.parametrize("profile,message", [
+    pytest.param("preset = linear-up\nw = 0.05", "preset 'linear-up' takes no parameter 'w'",
+                 id="linear-up-w"),
+    pytest.param("preset = exp\ny_c = 0.3", "preset 'exp' takes no parameter 'y_c'",
+                 id="exp-y_c"),
+    pytest.param("csv = {csv}\nw = 0.05", "[profile] w is not read by the tabulated profile",
+                 id="csv-w"),
+])
+def test_unread_profile_key_rejected(tmp_path, capsys, profile, message):
+    # a profile parameter that nothing reads is bad input, named with its profile
+    csv_path = tmp_path / "table.csv"
+    csv_path.write_text("y,rho\n" + "".join(f"{row}\n" for row in NINE_ROWS))
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[profile]\n" + profile.format(csv=csv_path) + "\n[grid]\nn = 32\n")
+    out = tmp_path / "o"
+    assert main(["mode", "--config", str(cfg), "--out", str(out), "--xi", "2"]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert not out.exists()
+
+
 def test_lattice_cap_rejected(tmp_path, capsys, monkeypatch):
     # only the rejection path: (b - a) L = 20000 lattice frequencies are never listed
     def no_solve(*args):

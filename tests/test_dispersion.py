@@ -5,6 +5,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from slabrt import (
     SlabConfig,
@@ -14,6 +16,7 @@ from slabrt import (
     c0_constant,
     companion_oracle,
     constant_profile,
+    critical_frequency,
     escape_time,
     growth_rate,
     preset_profile,
@@ -69,11 +72,12 @@ def test_growth_rate_stable_by_bound_where_gm_is_indefinite(profile_down, grid64
 
 def test_growth_rate_never_answers_stable_without_proof(profile_down, grid64):
     # neither bound holds and F(-gamma/2) >= 0: growth above -gamma/2 is
-    # ruled out, growth below it is not, so no rate and no "stable"
+    # ruled out, growth below it is not (a complex pair grows there, see
+    # test_complex_pair_grows_where_gm_is_indefinite), so no rate and no "stable"
     with pytest.raises(ConvergenceFailure,
                        match=r"^growth-rate fixed point at xi = 6: Gm is indefinite; no mode "
-                             r"grows faster than -gamma/2 = 0\.\d+, but stability on "
-                             r"\(0, 0\.\d+\) is not proved$"):
+                             r"grows faster than -gamma/2 = 0\.\d+, but an oscillatory "
+                             r"\(complex\) mode may grow on \(0, 0\.\d+\)$"):
         growth_rate(profile_down, INDEFINITE, grid64, 6.0)
 
 
@@ -188,6 +192,32 @@ def test_complex_pair_grows_where_gm_is_indefinite(profile_down, grid64):
     rate, cplx = _qz_reference(fs)
     assert rate is None and companion_oracle(fs) is None
     assert cplx == pytest.approx(0.339619, rel=1e-5)
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(name=st.sampled_from(["linear-up", "linear-down"]),
+       k0=st.floats(0.0, 6.0), k1=st.floats(0.0, 6.0), mu=st.floats(0.05, 1.0),
+       frac=st.floats(0.05, 0.95))
+def test_growth_rate_agrees_with_qz_below_xi_c(grid32, name, k0, k1, mu, frac):
+    # below xi_c slip walls may make Gm indefinite: a rate must be QZ's
+    # largest real eigenvalue, None must mean none grows, and exit 4 is
+    # allowed only where just a complex pair at or below -gamma/2 grows
+    c = SlabConfig(mu=mu, g=1.0, k0=k0, k1=k1, L=1.0)
+    xi_c = critical_frequency(c, grid32)
+    assume(xi_c > 0.0)
+    p = preset_profile(name)
+    fs = assemble_forms(p, c, grid32, frac * xi_c)
+    rate, cplx = _qz_reference(fs)
+    try:
+        ms = growth_rate(p, c, grid32, frac * xi_c)
+    except ConvergenceFailure:
+        gamma = sla.eigh(fs.Gm, fs.Jm, eigvals_only=True, subset_by_index=[0, 0])[0]
+        assert rate is None and (cplx is None or cplx <= max(0.0, -0.5 * gamma))
+        return
+    if ms is None:
+        assert rate is None
+    else:
+        assert rate is not None and ms.lam == pytest.approx(rate, rel=1e-6)
 
 
 def test_growth_rate_quadratic_bound(default_mode, profile_up, default_config):

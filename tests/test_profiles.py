@@ -44,6 +44,14 @@ def test_unknown_preset():
         preset_profile("step")
 
 
+def test_preset_rejects_unread_parameter():
+    # a misspelt width would otherwise fall back to w = 0.1
+    with pytest.raises(ValueError, match="^preset 'tanh-layer' takes no parameter 'width'$"):
+        preset_profile("tanh-layer", width=0.2)
+    with pytest.raises(ValueError, match="^preset 'linear-down' takes no parameter 'w'$"):
+        preset_profile("linear-down", w=0.2)
+
+
 def test_preset_extrema_cached(profile_up):
     r = profile_up.rho(evaluation_points())
     assert r.min() == pytest.approx(1.0, abs=1e-12)
