@@ -63,8 +63,8 @@ class RunConfig:
     """Everything one run needs; flags override file values."""
 
     profile_csv: str | None = _setting(None, "profile", str, key="csv")
-    # an empty "preset =" keeps linear-up
-    preset: str = _setting("linear-up", "profile", lambda s: s or None, "--preset")
+    # None (also from an empty "preset =") means linear-up unless csv is set
+    preset: str | None = _setting(None, "profile", lambda s: s or None, "--preset")
     y_c: float | None = _setting(None, "profile")
     w: float | None = _setting(None, "profile")
     mu: float = _setting(0.01, "physics", flag="--mu")
@@ -91,13 +91,14 @@ class RunConfig:
         return SlabConfig(mu=self.mu, g=self.g, k0=self.k0, k1=self.k1, L=self.L)
 
     def profile(self):
-        params = {k: v for k, v in (("y_c", self.y_c), ("w", self.w)) if v is not None}
+        params = {k: v for k, v in (("preset", self.preset), ("y_c", self.y_c), ("w", self.w))
+                  if v is not None}
         if self.profile_csv:
             if params:
-                raise ValueError(f"[profile] {next(iter(params))} is not read by the "
-                                 f"tabulated profile {self.profile_csv!r}")
+                raise ValueError(f"[profile] {next(iter(params))} is not read by the tabulated "
+                                 f"profile of [profile] csv = {self.profile_csv!r}")
             return profile_from_csv(self.profile_csv)
-        return preset_profile(self.preset, **params)
+        return preset_profile(params.pop("preset", "linear-up"), **params)
 
 
 def load_config(path: str) -> RunConfig:

@@ -15,7 +15,9 @@ is what makes the simulator an independent cross-check on the rates.
 
 Time stepping is trapezoidal (Crank-Nicolson): unconditionally stable for
 this linear system, second order, and with a natural per-step energy
-balance whose defect measures the consistency order.
+balance whose defect measures the consistency order.  The implicit system
+is solved once per (FormSet, dt) into a propagator, so a step is one
+matrix-vector product.
 """
 
 import math
@@ -42,31 +44,29 @@ class EvolveState:
 
 
 class CrankNicolsonStepper:
-    """Prefactored trapezoidal stepper for one (FormSet, dt) pair: A is
-    LU-factored once, and each step solves through LAPACK getrs on the
-    stored factors."""
+    """Trapezoidal stepper for one (FormSet, dt) pair.  A is LU-factored
+    once and the propagator K = A^-1 [B | -g xi^2 diag(w_int)] is built
+    from the factors once, so each step is the one product K [w; sigma]
+    followed by the sigma update."""
 
     def __init__(self, c: SlabConfig, fs: FormSet, dt: float):
         if not (dt > 0 and math.isfinite(dt)):
             raise ValueError("dt must be positive and finite")
         self.dt = dt
-        self.gx2 = c.g * fs.xi * fs.xi
-        self.w_int = fs.grid.w[1:-1]
-        self.drho_int = fs.drho_nodes[1:-1]
-        self.half_dt_drho = dt * self.drho_int * 0.5
-        D = np.diag(self.w_int * self.drho_int)
-        A = fs.Jm / dt + 0.5 * fs.Gm - 0.25 * self.gx2 * dt * D
-        self.B = fs.Jm / dt - 0.5 * fs.Gm + 0.25 * self.gx2 * dt * D
-        self.lu = sla.lu_factor(A)
-        if np.any(np.diag(self.lu[0]) == 0.0):
+        gx2 = c.g * fs.xi * fs.xi
+        w_int = fs.grid.w[1:-1]
+        drho_int = fs.drho_nodes[1:-1]
+        self.half_dt_drho = dt * drho_int * 0.5
+        D = np.diag(w_int * drho_int)
+        A = fs.Jm / dt + 0.5 * fs.Gm - 0.25 * gx2 * dt * D
+        B = fs.Jm / dt - 0.5 * fs.Gm + 0.25 * gx2 * dt * D
+        lu = sla.lu_factor(A)
+        if np.any(np.diag(lu[0]) == 0.0):
             raise SingularStep("implicit matrix is numerically singular")
-        self._getrs, = sla.get_lapack_funcs(("getrs",), (self.lu[0],))
+        self.K = sla.lu_solve(lu, np.hstack([B, np.diag(-gx2 * w_int)]))
 
     def step(self, state: EvolveState) -> EvolveState:
-        rhs = self.B @ state.w - self.gx2 * (self.w_int * state.sigma)
-        w_new, info = self._getrs(*self.lu, rhs, overwrite_b=True)
-        if info != 0:
-            raise ValueError(f"illegal value in argument {-info} of getrs")
+        w_new = self.K @ np.concatenate((state.w, state.sigma))
         if not np.isfinite(w_new).all():
             raise SingularStep(f"non-finite velocity at t = {state.t + self.dt:g}")
         sigma_new = state.sigma - self.half_dt_drho * (state.w + w_new)

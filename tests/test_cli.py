@@ -575,6 +575,9 @@ def test_dispersion_band_a_below_empty_critical_band(tmp_path, capsys):
                  id="exp-y_c"),
     pytest.param("csv = {csv}\nw = 0.05", "[profile] w is not read by the tabulated profile",
                  id="csv-w"),
+    pytest.param("csv = {csv}\npreset = exp",
+                 "[profile] preset is not read by the tabulated profile of [profile] csv = ",
+                 id="csv-preset"),
 ])
 def test_unread_profile_key_rejected(tmp_path, capsys, profile, message):
     # a profile parameter that nothing reads is bad input, named with its profile
@@ -811,4 +814,14 @@ def test_settings_reach_their_fields(tmp_path, monkeypatch):
 def test_empty_preset_keeps_default(tmp_path, monkeypatch):
     ini = tmp_path / "run.ini"
     ini.write_text("[profile]\npreset =\n")
-    assert _run_config(monkeypatch, ["check", "--config", str(ini)]).preset == "linear-up"
+    cfg = _run_config(monkeypatch, ["check", "--config", str(ini)])
+    y = np.linspace(0.0, 1.0, 5)
+    assert cfg.preset is None and np.array_equal(cfg.profile().rho(y), 1.0 + y)
+
+
+def test_preset_flag_replaces_table_and_file_preset(tmp_path):
+    # the flag clears [profile] csv, so the file's preset beside it is no conflict
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[profile]\ncsv = missing.csv\npreset = exp\n[grid]\nn = 32\n")
+    assert main(["mode", "--config", str(cfg), "--out", str(tmp_path / "o"), "--xi", "2",
+                 "--preset", "linear-up"]) == 0

@@ -9,10 +9,13 @@ from slabrt import (
     EvolveState,
     SlabConfig,
     assemble_forms,
+    build_grid,
     energy_balance_residual,
     fit_growth_rate,
+    growth_rate,
     kinetic_energy,
     mode_initial_state,
+    preset_profile,
     simulate,
 )
 from slabrt.errors import InsufficientGrowth, SingularStep
@@ -202,30 +205,82 @@ def test_stepper_rejects_bad_dt(profile_up, default_config, grid64):
             CrankNicolsonStepper(default_config, fs, dt)
 
 
-@pytest.mark.parametrize("stable", [False, True])
-def test_step_matches_lu_solve_bit_for_bit(profile_exp, profile_down, default_config, grid32,
-                                           stable):
-    # the stepper's getrs call must reproduce scipy's lu_solve on the same
-    # factors and the same sigma update exactly, growing or decaying; xi = 3
-    # and rho' = e^y keep the products inexact, and dt = 0.1 with a large
-    # sigma keeps the coupling term from vanishing in rhs, so a regrouping shows
+def _cn_case(profile_exp, profile_down, default_config, grid32, stable):
+    # xi = 3 and rho' = e^y keep the products inexact, and dt = 0.1 with a
+    # large sigma keeps the coupling term from vanishing, growing or decaying
     if stable:
         p, c = profile_down, SlabConfig(mu=0.5, g=1.0, k0=-1.0, k1=-0.5, L=1.0)
     else:
         p, c = profile_exp, default_config
     fs = assemble_forms(p, c, grid32, 3.0)
-    stepper = CrankNicolsonStepper(c, fs, 0.1)
     y = grid32.nodes[1:-1]
-    state = ref = EvolveState(t=0.0, sigma=100.0 * np.cos(3.0 * y) * y * (1.0 - y),
-                              w=np.sin(np.pi * y))
+    state = EvolveState(t=0.0, sigma=100.0 * np.cos(3.0 * y) * y * (1.0 - y),
+                        w=np.sin(np.pi * y))
+    return c, fs, CrankNicolsonStepper(c, fs, 0.1), state
+
+
+def _cn_matrices(c, fs, dt):
+    """The Crank-Nicolson equations A w_new = B w - g xi^2 (w_int sigma)."""
+    gx2 = c.g * fs.xi * fs.xi
+    w_int = fs.grid.w[1:-1]
+    D = np.diag(w_int * fs.drho_nodes[1:-1])
+    A = fs.Jm / dt + 0.5 * fs.Gm - 0.25 * gx2 * dt * D
+    B = fs.Jm / dt - 0.5 * fs.Gm + 0.25 * gx2 * dt * D
+    return A, B, gx2 * w_int
+
+
+@pytest.mark.parametrize("stable", [False, True])
+def test_step_is_one_product_with_the_propagator(profile_exp, profile_down, default_config,
+                                                 grid32, stable):
+    # each step is K [w; sigma] and the trapezoidal sigma update, exactly
+    c, fs, stepper, state = _cn_case(profile_exp, profile_down, default_config, grid32, stable)
+    ref = state
     for _ in range(50):
         state = stepper.step(state)
-        rhs = stepper.B @ ref.w - stepper.gx2 * (stepper.w_int * ref.sigma)
-        w_new = sla.lu_solve(stepper.lu, rhs, check_finite=False)
-        sigma_new = ref.sigma - stepper.dt * stepper.drho_int * 0.5 * (ref.w + w_new)
+        w_new = stepper.K @ np.concatenate((ref.w, ref.sigma))
+        sigma_new = ref.sigma - stepper.half_dt_drho * (ref.w + w_new)
         ref = EvolveState(t=ref.t + stepper.dt, sigma=sigma_new, w=w_new)
         assert state.t == ref.t
         assert np.array_equal(state.w, ref.w) and np.array_equal(state.sigma, ref.sigma)
+
+
+@pytest.mark.parametrize("stable", [False, True])
+def test_step_agrees_with_lu_solve_within_conditioning(profile_exp, profile_down,
+                                                       default_config, grid32, stable):
+    # from the same state, the propagator's step and a fresh LU solve of the
+    # CN equations differ by no more than m eps cond(A), relative
+    c, fs, stepper, state = _cn_case(profile_exp, profile_down, default_config, grid32, stable)
+    A, B, gx2_w = _cn_matrices(c, fs, stepper.dt)
+    lu = sla.lu_factor(A)
+    bound = A.shape[0] * np.finfo(float).eps * np.linalg.cond(A)
+    for _ in range(50):
+        w_lu = sla.lu_solve(lu, B @ state.w - gx2_w * state.sigma)
+        state = stepper.step(state)
+        assert np.linalg.norm(state.w - w_lu) <= bound * np.linalg.norm(w_lu)
+
+
+def test_trajectory_tracks_lu_solve_reference():
+    # the crosscheck physics at n = 64: sampled amplitudes of a 4,000-step
+    # growing run stay within 1e-6 relative of a per-step LU solve
+    grid = build_grid(64)
+    c = SlabConfig(mu=0.02, g=1.0, k0=0.5, k1=1.0, L=1.0)
+    ms = growth_rate(preset_profile("tanh-layer", y_c=0.5, w=0.05), c, grid, 2.0)
+    fs, dt = ms.forms, 1e-3 / ms.lam
+    w, sigma = mode_initial_state(ms)
+    sim = simulate(c, fs, w, sigma, dt, 4.0 / ms.lam)
+    A, B, gx2_w = _cn_matrices(c, fs, dt)
+    lu = sla.lu_factor(A)
+    half_dt_drho = dt * fs.drho_nodes[1:-1] * 0.5
+    ref = [np.sqrt(w @ fs.Jm @ w)]
+    for i in range(1, 4001):
+        w_new = sla.lu_solve(lu, B @ w - gx2_w * sigma)
+        sigma = sigma - half_dt_drho * (w + w_new)
+        w = w_new
+        if i % 10 == 0:
+            ref.append(np.sqrt(w @ fs.Jm @ w))
+    amp = np.array([row[1] for row in sim.rows])
+    assert len(amp) == len(ref) == 401
+    assert np.max(np.abs(amp / ref - 1.0)) <= 1e-6
 
 
 def test_step_rejects_non_finite_velocity(profile_up, default_config, grid32):

@@ -5,8 +5,9 @@ configs/stable.ini and compares its exit code and the sha256 of its stdout
 and of every file it writes with tests/golden_outputs.json.  The stable
 `evolve` runs from a copy of stable.ini with [evolve] t_end = 3 so the
 whole file stays near 2 s.  A change that alters an output on purpose
-updates its digest (regenerate with `python tests/test_golden_outputs.py`)
-and logs the old and new values in CHANGES.md.
+updates its digest (regenerate with `python tests/test_golden_outputs.py`,
+which prints each exit code and digest that changed, old -> new) and logs
+that list in CHANGES.md.
 """
 
 import contextlib
@@ -61,10 +62,37 @@ def test_golden_output(case, tmp_path):
     assert run_case(case, tmp_path) == json.loads(GOLDEN.read_text())[case]
 
 
+def _flat(entry: dict) -> dict:
+    return {"exit": entry.get("exit"), "stdout": entry.get("stdout"), **entry.get("files", {})}
+
+
+def changes(old: dict, new: dict) -> list:
+    """One "case: output old -> new" line per exit code or digest that differs."""
+    lines = []
+    for case in sorted(old.keys() | new.keys()):
+        before, after = _flat(old.get(case, {})), _flat(new.get(case, {}))
+        for what in sorted(before.keys() | after.keys()):
+            if before.get(what) != after.get(what):
+                lines.append(f"{case}: {what} {before.get(what)} -> {after.get(what)}")
+    return lines
+
+
+def test_changes_lists_each_differing_output():
+    old = {"a/x": {"exit": 0, "stdout": "s1", "files": {"f.json": "d1", "g.csv": "d2"}},
+           "b/y": {"exit": 0, "stdout": "s2", "files": {}}}
+    new = {"a/x": {"exit": 0, "stdout": "s1", "files": {"f.json": "d3", "g.csv": "d2"}},
+           "b/y": {"exit": 2, "stdout": "s2", "files": {}}}
+    assert changes(old, new) == ["a/x: f.json d1 -> d3", "b/y: exit 0 -> 2"]
+    assert changes(old, old) == []
+
+
 if __name__ == "__main__":
+    old = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
     golden = {}
     for case in CASES:
         with tempfile.TemporaryDirectory() as tmp:
             golden[case] = run_case(case, Path(tmp))
+    for line in changes(old, golden):
+        print(line)
     GOLDEN.write_text(json.dumps(golden, indent=2, sort_keys=True) + "\n")
     print(f"wrote {GOLDEN}")
