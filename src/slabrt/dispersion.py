@@ -237,21 +237,25 @@ def companion_oracle(fs: FormSet):
     nE = np.linalg.norm(fs.E2m)
     theta = np.sqrt(nE / nJ) if nE > 0 and nJ > 0 else 1.0
 
-    A2 = (theta * theta) * fs.Jm
-    A1 = theta * fs.Gm
-    A0 = -fs.E2m
-    P = SHIFT * SHIFT * A2 + SHIFT * A1 + A0
+    # C's lower block rows take [A2, A1 + SHIFT A2]; its upper left is scratch
+    C = np.empty((2 * m, 2 * m))
+    A2, rhs1, scratch = C[m:, :m], C[m:, m:], C[:m, :m]
+    np.multiply(fs.Jm, theta * theta, out=A2)
+    np.multiply(fs.Gm, theta, out=rhs1)
+    P = A2 * (SHIFT * SHIFT)
+    P += np.multiply(rhs1, SHIFT, out=scratch)
+    P -= fs.E2m
+    rhs1 += np.multiply(A2, SHIFT, out=scratch)
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error", sla.LinAlgWarning)
-            X = -sla.solve(P, np.hstack([A2, A1 + SHIFT * A2]), assume_a="general")
+            np.negative(sla.solve(P, C[m:], assume_a="general", overwrite_a=True), out=C[m:])
     except (sla.LinAlgError, sla.LinAlgWarning) as exc:
         raise EigensolveFailure(f"companion shift lam = {SHIFT * theta:g} at xi = {fs.xi:g} "
                                 f"is (nearly) an eigenvalue: {exc}") from exc
-    C = np.empty((2 * m, 2 * m))
-    C[:m] = SHIFT * X
+    del P
+    np.multiply(C[m:], SHIFT, out=C[:m])
     C[:m, m:] += np.eye(m)
-    C[m:] = X
     try:
         nu = sla.eig(C, right=False, overwrite_a=True)
     except sla.LinAlgError as exc:

@@ -1,7 +1,11 @@
+# slabrt before numpy: its OpenBLAS pin takes effect only if it loads first,
+# and the suite should run the single-threaded BLAS that the CLI runs (the
+# threaded matrix-matrix products round differently, which the evolve
+# golden digests would show)
+from slabrt import SlabConfig, build_grid, growth_rate, preset_profile  # isort: skip
+
 import numpy as np
 import pytest
-
-from slabrt import SlabConfig, build_grid, growth_rate, preset_profile
 
 
 @pytest.fixture(scope="session")

@@ -77,30 +77,71 @@ def test_balance_residual_zero_state(profile_up, default_config, grid64):
     assert energy_balance_residual(z, z2, default_config, fs) == 0.0
 
 
-def test_simulate_computes_each_sampled_energy_once(profile_up, default_config, grid32,
-                                                   monkeypatch):
-    # 4,000 steps sampled every 10th: one energy for the start, then the
-    # sampled state's and its predecessor's for each of the 400 rows
-    fs = assemble_forms(profile_up, default_config, grid32, 2.0)
-    w0 = 1e-3 * np.sin(np.pi * grid32.nodes[1:-1])
-    calls = []
-
-    def counted(state, forms):
-        calls.append(state.t)
-        return kinetic_energy(state, forms)
-
-    monkeypatch.setattr("slabrt.evolve.kinetic_energy", counted)
-    sim = simulate(default_config, fs, w0, np.zeros_like(w0), 1e-3, 4.0)
-    assert len(sim.rows) == 401
-    assert len(calls) == 801
-    # the row's balance is the public residual of its last step
-    monkeypatch.undo()
-    stepper = CrankNicolsonStepper(default_config, fs, 1e-3)
-    state = EvolveState(t=0.0, sigma=np.zeros_like(w0), w=w0)
-    for _ in range(10):
+def _per_step_rows(c, fs, w0, sigma0, dt, nsteps, sample_every):
+    """simulate's rows and final state by a plain loop of stepper steps."""
+    stepper = CrankNicolsonStepper(c, fs, dt)
+    state = EvolveState(t=0.0, sigma=sigma0.copy(), w=w0.copy())
+    e = kinetic_energy(state, fs)
+    rows = [(0.0, np.sqrt(2.0 * e), e, 0.0)]
+    for i in range(1, nsteps + 1):
         prev, state = state, stepper.step(state)
-    short = simulate(default_config, fs, w0, np.zeros_like(w0), 1e-3, 0.01)
-    assert short.rows[1][3] == energy_balance_residual(prev, state, default_config, fs)
+        if i % sample_every == 0 or i == nsteps:
+            e = kinetic_energy(state, fs)
+            rows.append((state.t, np.sqrt(2.0 * e), e,
+                         energy_balance_residual(prev, state, c, fs)))
+    return rows, state
+
+
+@pytest.mark.parametrize("sample_every", [1, 3, 10])
+def test_simulate_matches_per_step_loop(profile_up, default_config, grid32, sample_every):
+    # 4,005 steps leave a partial final interval for k = 10; the t column is
+    # accumulated by the same additions, the rest agrees to rounding
+    fs = assemble_forms(profile_up, default_config, grid32, 2.0)
+    y = grid32.nodes[1:-1]
+    w0, sigma0 = 1e-3 * np.sin(np.pi * y), 1e-3 * np.cos(3.0 * y) * y * (1.0 - y)
+    sim = simulate(default_config, fs, w0, sigma0, 1e-3, 4.005, sample_every=sample_every)
+    rows, state = _per_step_rows(default_config, fs, w0, sigma0, 1e-3, 4005, sample_every)
+    assert len(sim.rows) == len(rows) == 1 + -(-4005 // sample_every)
+    got, ref = np.array(sim.rows), np.array(rows)
+    assert np.array_equal(got[:, 0], ref[:, 0]) and sim.state.t == state.t
+    assert np.allclose(got[:, 1:3], ref[:, 1:3], rtol=1e-9, atol=0.0)
+    assert np.max(np.abs(got[:, 3] - ref[:, 3])) <= 1e-9
+    assert np.allclose(sim.state.w, state.w, rtol=1e-9, atol=1e-9 * np.abs(state.w).max())
+    assert sim.state.history == [row[:2] for row in sim.rows]
+
+
+def test_simulate_rejects_sample_every_below_one(profile_up, default_config, grid32):
+    fs = assemble_forms(profile_up, default_config, grid32, 2.0)
+    w0 = np.ones(grid32.n - 2)
+    for k in (0, -3):
+        with pytest.raises(ValueError, match="sample_every must be at least 1"):
+            simulate(default_config, fs, w0, np.zeros_like(w0), 1e-3, 0.1, sample_every=k)
+
+
+def test_simulate_rejects_non_finite_initial_velocity(profile_up, default_config, grid32):
+    # the first interval's product is NaN and its replay fails at step 1
+    fs = assemble_forms(profile_up, default_config, grid32, 2.0)
+    w = np.ones(grid32.n - 2)
+    w[3] = np.nan
+    with pytest.raises(SingularStep, match=r"^non-finite velocity at t = 0\.001$"):
+        simulate(default_config, fs, w, np.zeros_like(w), 1e-3, 0.1, sample_every=10)
+
+
+def test_overflowing_interval_names_the_per_step_failure(profile_up, default_config, grid32):
+    # from amplitude 1e307 at dt = 1 the velocity overflows inside the first
+    # interval, so its product is not finite and the replay names the step
+    fs = assemble_forms(profile_up, default_config, grid32, 2.0)
+    w0 = 1e307 * np.sin(np.pi * grid32.nodes[1:-1])
+    stepper = CrankNicolsonStepper(default_config, fs, 1.0)
+    state = EvolveState(t=0.0, sigma=np.zeros_like(w0), w=w0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(SingularStep) as per_step:
+            for _ in range(10):
+                state = stepper.step(state)
+        assert 1.0 <= state.t <= 8.0  # the failing step lies inside the interval
+        with pytest.raises(SingularStep) as sampled:
+            simulate(default_config, fs, w0, np.zeros_like(w0), 1.0, 40.0)
+    assert str(sampled.value) == str(per_step.value)
 
 
 def test_balance_residual_small_at_fine_step(default_mode, default_config):
