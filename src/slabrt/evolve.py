@@ -17,9 +17,9 @@ Time stepping is trapezoidal (Crank-Nicolson): unconditionally stable for
 this linear system, second order, and with a natural per-step energy
 balance whose defect measures the consistency order.  The implicit system
 is solved once per (FormSet, dt) into a propagator, so a step is one
-matrix-vector product; simulate advances a whole sample interval with one
-product by a power of the one-step map and one step, and evaluates the
-sampled rows in batches.
+matrix-vector product; simulate chains the states one step before each
+sample with one product by the k-th power of the one-step map, and takes
+the sampled steps and evaluates their rows in batches.
 """
 
 import math
@@ -90,26 +90,36 @@ def energy_balance_residual(before: EvolveState, after: EvolveState,
     O(dt^2), matching the scheme's consistency order.  Returns the defect
     normalized by the largest of the three terms.
     """
-    return _sampled_rows([(before, after)], c, fs)[0][3]
+    return _row(before, after, c, fs)[3]
 
 
-def _sampled_rows(pairs: list, c: SlabConfig, fs: FormSet) -> list:
-    """Rows (t, amplitude, energy, balance_residual) of the `after` states of
-    (before, after) step pairs, with one product by Jm and one by Gm."""
-    states = [s for pair in pairs for s in pair]
-    W = np.array([s.w for s in states])
-    t = np.array([s.t for s in states])
-    e = 0.5 * np.einsum("ij,ij->i", W @ fs.Jm, W)
-    S = np.array([s.sigma for s in states]) * ((c.g * fs.xi * fs.xi) * fs.grid.w[1:-1])
-    # per state the dissipation w' Gm w and the coupling g xi^2 <sigma, w>
-    rates = np.array([np.einsum("ij,ij->i", W @ fs.Gm, W), np.einsum("ij,ij->i", S, W)])
-    terms = np.vstack([(e[1::2] - e[::2]) / (t[1::2] - t[::2]),
-                       0.5 * (rates[:, 1::2] + rates[:, ::2])])
+def _row(before: EvolveState, after: EvolveState, c: SlabConfig, fs: FormSet) -> tuple:
+    """The row (t, amplitude, energy, balance_residual) of `after`, one step
+    after `before`."""
+    z0, z1 = (np.concatenate((s.w, s.sigma))[None] for s in (before, after))
+    return _sampled_rows([before.t], z0, [after.t], z1, c, fs)[0]
+
+
+def _sampled_rows(t0, Z0, t1, Z1, c: SlabConfig, fs: FormSet) -> list:
+    """Rows (t, amplitude, energy, balance_residual) of the states [w; sigma]
+    in the rows of Z1, at times t1, each one step after the same row of Z0."""
+    m = Z0.shape[1] // 2
+    gw = (c.g * fs.xi * fs.xi) * fs.grid.w[1:-1]
+
+    def energy_and_rates(Z):
+        # the energy, the dissipation w' Gm w and the coupling g xi^2 <sigma, w>
+        W = Z[:, :m]
+        return (0.5 * np.einsum("ij,ij->i", W @ fs.Jm, W),
+                np.array([np.einsum("ij,ij->i", W @ fs.Gm, W),
+                          np.einsum("ij,ij->i", Z[:, m:] * gw, W)]))
+
+    (e0, r0), (e1, r1) = energy_and_rates(Z0), energy_and_rates(Z1)
+    t0, t1 = np.asarray(t0), np.asarray(t1)
+    terms = np.vstack([(e1 - e0) / (t1 - t0), 0.5 * (r1 + r0)])
     scale = np.abs(terms).max(axis=0)
     bal = np.divide(np.abs(terms.sum(axis=0)), scale, out=np.zeros_like(scale),
                     where=scale != 0.0)
-    e = e[1::2]
-    return list(zip(t[1::2].tolist(), np.sqrt(2.0 * e).tolist(), e.tolist(), bal.tolist()))
+    return list(zip(t1.tolist(), np.sqrt(2.0 * e1).tolist(), e1.tolist(), bal.tolist()))
 
 
 def _propagator_power(stepper: CrankNicolsonStepper, steps: int) -> np.ndarray:
@@ -117,14 +127,21 @@ def _propagator_power(stepper: CrankNicolsonStepper, steps: int) -> np.ndarray:
     running the stepper's own arithmetic on the columns of the identity."""
     m = stepper.K.shape[0]
     Z = np.eye(2 * m)
+    W = np.empty((m, 2 * m))
     h = stepper.half_dt_drho[:, None]
     for _ in range(steps):
-        W = stepper.K @ Z
+        np.matmul(stepper.K, Z, out=W)
         Z[:m] += W
         Z[:m] *= h
         Z[m:] -= Z[:m]
         Z[:m] = W
     return Z
+
+
+def _finite_rows(A: np.ndarray) -> int:
+    """The number of leading rows of A that are finite."""
+    ok = np.isfinite(A).all(axis=1)
+    return len(ok) if ok.all() else int(np.argmin(ok))
 
 
 @dataclass
@@ -135,52 +152,91 @@ class SimulationResult:
 
 # 0.5 |Jm|_inf |w|^2 below this bounds the sampled energy far from overflow
 _ENERGY_SAFE = 1e300
-# sampled step pairs whose rows are evaluated together
+# sampled steps taken and evaluated together
 _ROW_BATCH = 64
 
 
 def simulate(c: SlabConfig, fs: FormSet, w0: np.ndarray, sigma0: np.ndarray,
              dt: float, t_end: float, sample_every: int = 10) -> SimulationResult:
     """Run from t = 0 to t_end, sampling amplitude/energy every k =
-    sample_every steps and at the last step.  A full interval is one product
-    with Q = P^(k-1) (P the one-step map) and one step; a non-finite product
-    is replayed step by step, so a non-finite velocity names the same step,
-    and a sampled energy that overflows raises SingularStep naming step and t."""
+    sample_every steps and at the last step.
+
+    The states one step before the samples form a chain: k - 1 steps reach
+    the first, and each next one is its product with R = P^k (P the
+    one-step map).  One product with K^T takes the sampled steps of up to
+    64 chain states at once, and their rows are evaluated in the same
+    batch.  A non-finite chain state or sampled velocity ends the batch
+    there and the next interval is replayed step by step, so a non-finite
+    velocity names the same step as a per-step loop; a sampled energy that
+    overflows, row 0's included, raises SingularStep naming step and t.
+    """
     if sample_every < 1:
         raise ValueError("sample_every must be at least 1")
+    if not (t_end > 0 and math.isfinite(t_end)):
+        raise ValueError("t_end must be positive and finite")
     stepper = CrankNicolsonStepper(c, fs, dt)
     state = EvolveState(t=0.0, sigma=np.asarray(sigma0, dtype=float).copy(),
                         w=np.asarray(w0, dtype=float).copy())
-    e = kinetic_energy(state, fs)
-    rows = [(0.0, math.sqrt(2.0 * e), e, 0.0)]
     nsteps = max(1, round(t_end / dt))
     k, m = sample_every, len(state.w)
-    Q = _propagator_power(stepper, k - 1) if 1 < k <= nsteps else None
     half_jnorm = 0.5 * np.linalg.norm(fs.Jm, np.inf)
-    pending, i = [], 0
+
+    def check_energies(W, steps, ts):
+        # in step order, and exactly only where the bound flags the velocity
+        for r in np.flatnonzero(~(half_jnorm * np.einsum("ij,ij->i", W, W) < _ENERGY_SAFE)):
+            if not math.isfinite(0.5 * float(W[r] @ fs.Jm @ W[r])):
+                raise SingularStep(f"amplitude overflows at step {steps[r]}, t = {ts[r]:g}")
+
     with np.errstate(over="ignore", invalid="ignore"):
+        if np.isfinite(state.w).all():  # else step 1 names the non-finite velocity
+            check_energies(state.w[None], [0], [0.0])
+        e = kinetic_energy(state, fs)
+        rows = [(0.0, math.sqrt(2.0 * e), e, 0.0)]
+        R = _propagator_power(stepper, k) if 1 < k and 2 * k <= nsteps else None
+        # row b of Z and of Y: the states [w; sigma] before and after the b-th
+        # sampled step of a batch; Z's last row starts the next batch
+        Z, Y = np.empty((_ROW_BATCH + 1, 2 * m)), np.empty((_ROW_BATCH, 2 * m))
+        i, chain_t, replay = 0, None, False
         while i < nsteps:
-            j = min(i + k, nsteps)
-            prev = None
-            if Q is not None and j - i == k:
-                z = Q @ np.concatenate((state.w, state.sigma))
-                if np.isfinite(z).all():
-                    t = state.t
-                    for _ in range(k - 1):
-                        t += dt  # as the steps sum it, so the t column is the same
-                    prev = EvolveState(t=t, sigma=z[m:], w=z[:m])
-            if prev is None:  # sample_every = 1, a partial interval or a replay
+            if k == 1 or i + k > nsteps or replay:  # also a final partial interval
+                j = min(i + k, nsteps)
                 prev = state
                 for _ in range(j - i - 1):
                     prev = stepper.step(prev)
-            state, i = stepper.step(prev), j
-            pending.append((prev, state))
-            if not half_jnorm * float(state.w @ state.w) < _ENERGY_SAFE:
-                if not math.isfinite(kinetic_energy(state, fs)):
-                    raise SingularStep(f"amplitude overflows at step {i}, t = {state.t:g}")
-            if len(pending) == _ROW_BATCH or i == nsteps:
-                rows += _sampled_rows(pending, c, fs)
-                pending = []
+                state, i, replay = stepper.step(prev), j, False
+                check_energies(state.w[None], [i], [state.t])
+                rows.append(_row(prev, state, c, fs))
+                continue
+            if chain_t is None:
+                prev = state
+                for _ in range(k - 1):
+                    prev = stepper.step(prev)
+                Z[0, :m], Z[0, m:], chain_t = prev.w, prev.sigma, prev.t
+            left = (nsteps - i) // k  # full intervals
+            full, ahead = min(_ROW_BATCH, left), min(_ROW_BATCH + 1, left)
+            for b in range(1, ahead):
+                np.matmul(R, Z[b - 1], out=Z[b])
+            held = _finite_rows(Z[:ahead])
+            nb = min(full, held)
+            np.matmul(Z[:nb], stepper.K.T, out=Y[:nb, :m])
+            nb = _finite_rows(Y[:nb, :m])
+            W, S = Y[:nb, :m], Y[:nb, m:]
+            np.add(Z[:nb, :m], W, out=S)  # the sigma update of step, in place
+            S *= stepper.half_dt_drho
+            np.subtract(Z[:nb, m:], S, out=S)
+            ts = [chain_t]
+            for _ in range(nb * k):
+                ts.append(ts[-1] + dt)  # as the steps sum it, so the t column is the same
+            ts0, ts1 = ts[:-1:k], ts[1::k]
+            check_energies(W, range(i + k, nsteps + 1, k), ts1)
+            if nb:
+                rows += _sampled_rows(ts0, Z[:nb], ts1, Y[:nb], c, fs)
+                state = EvolveState(t=ts1[-1], sigma=S[-1].copy(), w=W[-1].copy())
+                i += nb * k
+            replay = held < ahead or nb < full
+            chain_t = None if replay or ahead == full else ts[-1]
+            if chain_t is not None:
+                Z[0] = Z[full]
     state.history = [row[:2] for row in rows]
     return SimulationResult(state=state, rows=rows)
 

@@ -110,6 +110,19 @@ def test_simulate_matches_per_step_loop(profile_up, default_config, grid32, samp
     assert sim.state.history == [row[:2] for row in sim.rows]
 
 
+def test_chain_runs_through_the_batches(profile_up, default_config, grid32, monkeypatch):
+    # 4,005 steps at k = 10: 9 steps reach the first chain state, which then
+    # runs through all 7 batches of 400 sampled steps; 5 steps end the run
+    calls = []
+    step = CrankNicolsonStepper.step
+    monkeypatch.setattr(CrankNicolsonStepper, "step",
+                        lambda self, state: calls.append(1) or step(self, state))
+    fs = assemble_forms(profile_up, default_config, grid32, 2.0)
+    w0 = 1e-3 * np.sin(np.pi * grid32.nodes[1:-1])
+    sim = simulate(default_config, fs, w0, np.zeros_like(w0), 1e-3, 4.005)
+    assert len(calls) == 14 and len(sim.rows) == 402
+
+
 def test_simulate_rejects_sample_every_below_one(profile_up, default_config, grid32):
     fs = assemble_forms(profile_up, default_config, grid32, 2.0)
     w0 = np.ones(grid32.n - 2)
@@ -127,21 +140,84 @@ def test_simulate_rejects_non_finite_initial_velocity(profile_up, default_config
         simulate(default_config, fs, w, np.zeros_like(w), 1e-3, 0.1, sample_every=10)
 
 
-def test_overflowing_interval_names_the_per_step_failure(profile_up, default_config, grid32):
-    # from amplitude 1e307 at dt = 1 the velocity overflows inside the first
-    # interval, so its product is not finite and the replay names the step
-    fs = assemble_forms(profile_up, default_config, grid32, 2.0)
-    w0 = 1e307 * np.sin(np.pi * grid32.nodes[1:-1])
-    stepper = CrankNicolsonStepper(default_config, fs, 1.0)
+def _first_failure(c, fs, w0, dt, nsteps, k):
+    """simulate's first error by a plain loop of stepper steps that checks
+    the exact energy of every k-th state, and the step where it happens."""
+    stepper = CrankNicolsonStepper(c, fs, dt)
     state = EvolveState(t=0.0, sigma=np.zeros_like(w0), w=w0)
     with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(SingularStep) as per_step:
-            for _ in range(10):
+        for i in range(1, nsteps + 1):
+            try:
                 state = stepper.step(state)
-        assert 1.0 <= state.t <= 8.0  # the failing step lies inside the interval
-        with pytest.raises(SingularStep) as sampled:
-            simulate(default_config, fs, w0, np.zeros_like(w0), 1.0, 40.0)
-    assert str(sampled.value) == str(per_step.value)
+            except SingularStep as exc:
+                return str(exc), i
+            if i % k == 0 and not np.isfinite(kinetic_energy(state, fs)):
+                return f"amplitude overflows at step {i}, t = {state.t:g}", i
+    return None, None
+
+
+def _simulate_failure(c, fs, w0, dt, nsteps, k):
+    with pytest.raises(SingularStep) as sampled:
+        simulate(c, fs, w0, np.zeros_like(w0), dt, nsteps * dt, sample_every=k)
+    return str(sampled.value)
+
+
+def test_overflowing_interval_names_the_per_step_failure(profile_up, default_config,
+                                                         grid32):
+    # at dt = 4 the amplitude grows by 10^0.94 a step, so from an initial
+    # energy far from overflow the velocity overflows inside the first
+    # interval, in the steps that reach the first chain state
+    fs = assemble_forms(profile_up, default_config, grid32, 2.0)
+    w0 = 10.0 ** 139.6 * np.sin(np.pi * grid32.nodes[1:-1])
+    message, step = _first_failure(default_config, fs, w0, 4.0, 1000, 200)
+    assert message.startswith("non-finite velocity") and step == 180
+    assert _simulate_failure(default_config, fs, w0, 4.0, 1000, 200) == message
+
+
+@pytest.mark.parametrize("dt,k,log_amplitude,step", [
+    (4.0, 200, -48.7, 380),   # velocity, inside the second chain product
+    (4.0, 200, -67.5, 400),   # velocity, at the second sampled step
+    (1.0, 10, 41.2, 650),     # energy, 1st sample of the second batch of 64
+    (1.0, 10, 34.2, 690),     # energy, 5th sample of the second batch
+    (1.0, 10, -69.0, 1280),   # energy, 64th sample of the second batch
+], ids=["chain", "sampled-step", "batch2-1st", "batch2-5th", "batch2-64th"])
+def test_chain_failure_names_the_per_step_failure(profile_up, default_config, grid32, dt,
+                                                  k, log_amplitude, step):
+    # a velocity that overflows after the first sample must grow by ~10^154
+    # in one interval (from a finite sampled energy to overflow), so at
+    # k = 10 every later failure is a sampled energy; k = 200 at dt = 4
+    # reaches the velocity failures
+    fs = assemble_forms(profile_up, default_config, grid32, 2.0)
+    w0 = 10.0 ** log_amplitude * np.sin(np.pi * grid32.nodes[1:-1])
+    nsteps = 1300 if k == 10 else 1000
+    message, failed_at = _first_failure(default_config, fs, w0, dt, nsteps, k)
+    assert failed_at == step
+    assert message.startswith("non-finite velocity" if k == 200 else "amplitude overflows")
+    assert _simulate_failure(default_config, fs, w0, dt, nsteps, k) == message
+
+
+def test_overflowing_initial_energy_names_step_0(profile_up, default_config, grid32):
+    # the suite turns RuntimeWarnings into errors, so row 0 is evaluated
+    # under the same overflow guard as every other row
+    fs = assemble_forms(profile_up, default_config, grid32, 2.0)
+    w0 = 1e305 * np.sin(np.pi * grid32.nodes[1:-1])
+    with pytest.raises(SingularStep, match=r"^amplitude overflows at step 0, t = 0$"):
+        simulate(default_config, fs, w0, np.zeros_like(w0), 1.0, 40.0)
+
+
+@pytest.mark.parametrize("t_end", [-5.0, 0.0, float("inf"), float("nan")])
+def test_simulate_rejects_bad_t_end(profile_up, default_config, grid32, t_end):
+    fs = assemble_forms(profile_up, default_config, grid32, 2.0)
+    w0 = np.ones(grid32.n - 2)
+    with pytest.raises(ValueError, match="t_end must be positive and finite"):
+        simulate(default_config, fs, w0, np.zeros_like(w0), 1e-3, t_end)
+
+
+def test_t_end_below_dt_runs_one_step(profile_up, default_config, grid32):
+    fs = assemble_forms(profile_up, default_config, grid32, 2.0)
+    w0 = np.ones(grid32.n - 2)
+    sim = simulate(default_config, fs, w0, np.zeros_like(w0), 1e-3, 4e-4)
+    assert [row[0] for row in sim.rows] == [0.0, 1e-3] and sim.state.t == 1e-3
 
 
 def test_balance_residual_small_at_fine_step(default_mode, default_config):
