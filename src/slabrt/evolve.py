@@ -17,9 +17,9 @@ Time stepping is trapezoidal (Crank-Nicolson): unconditionally stable for
 this linear system, second order, and with a natural per-step energy
 balance whose defect measures the consistency order.  The implicit system
 is solved once per (FormSet, dt) into a propagator, so a step is one
-matrix-vector product; simulate chains the states one step before each
-sample with one product by the k-th power of the one-step map, and takes
-the sampled steps and evaluates their rows in batches.
+matrix-vector product; simulate chains (pre-sample, sample) pairs of states
+with one product by the k-th power of the one-step map, evaluates their rows
+in batches and ends in plain steps after a batch that is not finite.
 """
 
 import math
@@ -138,12 +138,6 @@ def _propagator_power(stepper: CrankNicolsonStepper, steps: int) -> np.ndarray:
     return Z
 
 
-def _finite_rows(A: np.ndarray) -> int:
-    """The number of leading rows of A that are finite."""
-    ok = np.isfinite(A).all(axis=1)
-    return len(ok) if ok.all() else int(np.argmin(ok))
-
-
 @dataclass
 class SimulationResult:
     state: EvolveState
@@ -152,7 +146,7 @@ class SimulationResult:
 
 # 0.5 |Jm|_inf |w|^2 below this bounds the sampled energy far from overflow
 _ENERGY_SAFE = 1e300
-# sampled steps taken and evaluated together
+# chained samples evaluated together
 _ROW_BATCH = 64
 
 
@@ -161,14 +155,13 @@ def simulate(c: SlabConfig, fs: FormSet, w0: np.ndarray, sigma0: np.ndarray,
     """Run from t = 0 to t_end, sampling amplitude/energy every k =
     sample_every steps and at the last step.
 
-    The states one step before the samples form a chain: k - 1 steps reach
-    the first, and each next one is its product with R = P^k (P the
-    one-step map).  One product with K^T takes the sampled steps of up to
-    64 chain states at once, and their rows are evaluated in the same
-    batch.  A non-finite chain state or sampled velocity ends the batch
-    there and the next interval is replayed step by step, so a non-finite
-    velocity names the same step as a per-step loop; a sampled energy that
-    overflows, row 0's included, raises SingularStep naming step and t.
+    k plain steps reach the first sample and the state one step before it.
+    That pair of states then runs as a chain: each next pair is its product
+    with R = P^k (P the one-step map), and the rows of up to 64 pairs are
+    evaluated together.  A batch of pairs that holds a non-finite value is
+    dropped and the run ends in plain steps, so a non-finite velocity names
+    the same step as a per-step loop; a sampled energy that overflows, row
+    0's included, raises SingularStep naming step and t.
     """
     if sample_every < 1:
         raise ValueError("sample_every must be at least 1")
@@ -193,50 +186,37 @@ def simulate(c: SlabConfig, fs: FormSet, w0: np.ndarray, sigma0: np.ndarray,
         e = kinetic_energy(state, fs)
         rows = [(0.0, math.sqrt(2.0 * e), e, 0.0)]
         R = _propagator_power(stepper, k) if 1 < k and 2 * k <= nsteps else None
-        # row b of Z and of Y: the states [w; sigma] before and after the b-th
-        # sampled step of a batch; Z's last row starts the next batch
-        Z, Y = np.empty((_ROW_BATCH + 1, 2 * m)), np.empty((_ROW_BATCH, 2 * m))
-        i, chain_t, replay = 0, None, False
+        # Z[b]: the states [w; sigma] one step before and at the b-th sample
+        # of a batch; Z[0] holds the last pair taken
+        Z = np.empty((_ROW_BATCH + 1, 2, 2 * m))
+        i = 0
         while i < nsteps:
-            if k == 1 or i + k > nsteps or replay:  # also a final partial interval
-                j = min(i + k, nsteps)
-                prev = state
-                for _ in range(j - i - 1):
-                    prev = stepper.step(prev)
-                state, i, replay = stepper.step(prev), j, False
-                check_energies(state.w[None], [i], [state.t])
-                rows.append(_row(prev, state, c, fs))
-                continue
-            if chain_t is None:
-                prev = state
-                for _ in range(k - 1):
-                    prev = stepper.step(prev)
-                Z[0, :m], Z[0, m:], chain_t = prev.w, prev.sigma, prev.t
-            left = (nsteps - i) // k  # full intervals
-            full, ahead = min(_ROW_BATCH, left), min(_ROW_BATCH + 1, left)
-            for b in range(1, ahead):
-                np.matmul(R, Z[b - 1], out=Z[b])
-            held = _finite_rows(Z[:ahead])
-            nb = min(full, held)
-            np.matmul(Z[:nb], stepper.K.T, out=Y[:nb, :m])
-            nb = _finite_rows(Y[:nb, :m])
-            W, S = Y[:nb, :m], Y[:nb, m:]
-            np.add(Z[:nb, :m], W, out=S)  # the sigma update of step, in place
-            S *= stepper.half_dt_drho
-            np.subtract(Z[:nb, m:], S, out=S)
-            ts = [chain_t]
-            for _ in range(nb * k):
-                ts.append(ts[-1] + dt)  # as the steps sum it, so the t column is the same
-            ts0, ts1 = ts[:-1:k], ts[1::k]
-            check_energies(W, range(i + k, nsteps + 1, k), ts1)
-            if nb:
-                rows += _sampled_rows(ts0, Z[:nb], ts1, Y[:nb], c, fs)
-                state = EvolveState(t=ts1[-1], sigma=S[-1].copy(), w=W[-1].copy())
-                i += nb * k
-            replay = held < ahead or nb < full
-            chain_t = None if replay or ahead == full else ts[-1]
-            if chain_t is not None:
-                Z[0] = Z[full]
+            nb = min(_ROW_BATCH, (nsteps - i) // k)  # full intervals
+            if R is not None and i and nb:  # plain steps take the first pair
+                pairs = Z[1:nb + 1]
+                for b in range(1, nb + 1):
+                    np.matmul(Z[b - 1], R.T, out=Z[b])
+                if np.isfinite(pairs).all():
+                    ts = [state.t]
+                    for _ in range(nb * k):
+                        ts.append(ts[-1] + dt)  # as the steps sum it, so the t column is the same
+                    ts0, ts1 = ts[k - 1::k], ts[k::k]
+                    check_energies(pairs[:, 1, :m], range(i + k, nsteps + 1, k), ts1)
+                    rows += _sampled_rows(ts0, pairs[:, 0], ts1, pairs[:, 1], c, fs)
+                    Z[0] = Z[nb]
+                    state = EvolveState(t=ts[-1], sigma=Z[0, 1, m:].copy(), w=Z[0, 1, :m].copy())
+                    i += nb * k
+                    continue
+                R = None  # plain steps from the last sample name the failure
+            j = min(i + k, nsteps)
+            prev = state
+            for _ in range(j - i - 1):
+                prev = stepper.step(prev)
+            state, i = stepper.step(prev), j
+            check_energies(state.w[None], [i], [state.t])
+            rows.append(_row(prev, state, c, fs))
+            if R is not None:
+                Z[0] = [np.concatenate((s.w, s.sigma)) for s in (prev, state)]
     state.history = [row[:2] for row in rows]
     return SimulationResult(state=state, rows=rows)
 

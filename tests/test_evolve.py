@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
+import slabrt.evolve
 from slabrt import (
     CrankNicolsonStepper,
     EvolveState,
@@ -111,8 +112,8 @@ def test_simulate_matches_per_step_loop(profile_up, default_config, grid32, samp
 
 
 def test_chain_runs_through_the_batches(profile_up, default_config, grid32, monkeypatch):
-    # 4,005 steps at k = 10: 9 steps reach the first chain state, which then
-    # runs through all 7 batches of 400 sampled steps; 5 steps end the run
+    # 4,005 steps at k = 10: 10 steps reach the first pair of states, which
+    # then runs through all 7 batches of 399 chained pairs; 5 steps end the run
     calls = []
     step = CrankNicolsonStepper.step
     monkeypatch.setattr(CrankNicolsonStepper, "step",
@@ -120,7 +121,27 @@ def test_chain_runs_through_the_batches(profile_up, default_config, grid32, monk
     fs = assemble_forms(profile_up, default_config, grid32, 2.0)
     w0 = 1e-3 * np.sin(np.pi * grid32.nodes[1:-1])
     sim = simulate(default_config, fs, w0, np.zeros_like(w0), 1e-3, 4.005)
-    assert len(calls) == 14 and len(sim.rows) == 402
+    assert len(calls) == 15 and len(sim.rows) == 402
+
+
+def test_non_finite_chain_falls_back_to_plain_steps(profile_up, default_config, grid32,
+                                                     monkeypatch):
+    # with one NaN in R every batch of pairs is dropped, so the run ends in
+    # plain steps and still matches the per-step loop
+    power = slabrt.evolve._propagator_power
+
+    def nan_power(stepper, steps):
+        R = power(stepper, steps)
+        R[0, 0] = np.nan
+        return R
+
+    calls = []
+    step = CrankNicolsonStepper.step
+    monkeypatch.setattr(slabrt.evolve, "_propagator_power", nan_power)
+    monkeypatch.setattr(CrankNicolsonStepper, "step",
+                        lambda self, state: calls.append(1) or step(self, state))
+    test_simulate_matches_per_step_loop(profile_up, default_config, grid32, 10)
+    assert len(calls) == 2 * 4005  # simulate's steps, then the per-step loop's
 
 
 def test_simulate_rejects_sample_every_below_one(profile_up, default_config, grid32):
@@ -132,7 +153,7 @@ def test_simulate_rejects_sample_every_below_one(profile_up, default_config, gri
 
 
 def test_simulate_rejects_non_finite_initial_velocity(profile_up, default_config, grid32):
-    # the first interval's product is NaN and its replay fails at step 1
+    # the plain steps that reach the first pair fail at step 1
     fs = assemble_forms(profile_up, default_config, grid32, 2.0)
     w = np.ones(grid32.n - 2)
     w[3] = np.nan
@@ -175,18 +196,20 @@ def test_overflowing_interval_names_the_per_step_failure(profile_up, default_con
 
 
 @pytest.mark.parametrize("dt,k,log_amplitude,step", [
-    (4.0, 200, -48.7, 380),   # velocity, inside the second chain product
-    (4.0, 200, -67.5, 400),   # velocity, at the second sampled step
-    (1.0, 10, 41.2, 650),     # energy, 1st sample of the second batch of 64
-    (1.0, 10, 34.2, 690),     # energy, 5th sample of the second batch
-    (1.0, 10, -69.0, 1280),   # energy, 64th sample of the second batch
+    (4.0, 200, -48.7, 380),   # velocity, inside the first chained interval
+    (4.0, 200, -67.5, 400),   # velocity, at the first chained sample
+    (1.0, 10, 41.2, 650),     # energy, sample 65: the last of the first batch of pairs
+    (1.0, 10, 34.2, 690),     # energy, sample 69: the 4th of the second batch
+    (1.0, 10, -69.0, 1280),   # energy, sample 128: the 63rd of the second batch
 ], ids=["chain", "sampled-step", "batch2-1st", "batch2-5th", "batch2-64th"])
 def test_chain_failure_names_the_per_step_failure(profile_up, default_config, grid32, dt,
                                                   k, log_amplitude, step):
     # a velocity that overflows after the first sample must grow by ~10^154
     # in one interval (from a finite sampled energy to overflow), so at
-    # k = 10 every later failure is a sampled energy; k = 200 at dt = 4
-    # reaches the velocity failures
+    # k = 10 every later failure is a sampled energy, raised from a finite
+    # batch of pairs; k = 200 at dt = 4 reaches the velocity failures, where
+    # the batch is dropped and the plain steps name the failure.  The ids
+    # count the samples in groups of 64.
     fs = assemble_forms(profile_up, default_config, grid32, 2.0)
     w0 = 10.0 ** log_amplitude * np.sin(np.pi * grid32.nodes[1:-1])
     nsteps = 1300 if k == 10 else 1000
