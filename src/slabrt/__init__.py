@@ -15,18 +15,15 @@ from .dispersion import (
     DispersionPoint,
     DispersionResult,
     ModeSolution,
-    RealModeField,
     companion_oracle,
     escape_time,
     growth_rate,
-    real_fields,
     reconstruct_mode,
     scan_band,
 )
 from .evolve import (
     CrankNicolsonStepper,
     EvolveState,
-    energy_balance_residual,
     fit_growth_rate,
     kinetic_energy,
     mode_initial_state,
@@ -39,7 +36,6 @@ from .profiles import (
     SlabConfig,
     ValidationReport,
     constant_profile,
-    hydrostatic_pressure,
     preset_profile,
     profile_from_csv,
     tabulated_profile,
@@ -65,7 +61,6 @@ __all__ = [
     "EvolveState",
     "FormSet",
     "ModeSolution",
-    "RealModeField",
     "SlabConfig",
     "SpectralGrid",
     "ValidationReport",
@@ -79,17 +74,14 @@ __all__ = [
     "critical_frequency",
     "critical_viscosity_closed_form",
     "critical_viscosity_numerical",
-    "energy_balance_residual",
     "escape_time",
     "fit_growth_rate",
     "frak_S",
     "growth_rate",
-    "hydrostatic_pressure",
     "kinetic_energy",
     "mode_initial_state",
     "preset_profile",
     "profile_from_csv",
-    "real_fields",
     "reconstruct_mode",
     "scan_band",
     "simulate",

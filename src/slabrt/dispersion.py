@@ -72,20 +72,6 @@ class DispersionResult:
     xi_star: float | None
 
 
-@dataclass(frozen=True, eq=False)
-class RealModeField:
-    """Real-valued perturbation fields at t = 0 on an x-y tensor grid."""
-
-    x: np.ndarray
-    y: np.ndarray
-    varrho: np.ndarray
-    u1: np.ndarray
-    u2: np.ndarray
-    q: np.ndarray
-    lambda_star: float
-    xi: float
-
-
 def growth_rate(p: DensityProfile, c: SlabConfig, grid: SpectralGrid,
                 xi: float) -> ModeSolution | None:
     """Growth rate and mode shape at frequency xi, or None when a bound
@@ -336,28 +322,6 @@ def scan_band(p: DensityProfile, c: SlabConfig, grid: SpectralGrid,
     else:
         Lambda = xi_star = None
     return DispersionResult(samples=samples, lattice=lattice, Lambda=Lambda, xi_star=xi_star)
-
-
-def real_fields(ms: ModeSolution, lambda_star: float, x_grid: np.ndarray) -> RealModeField:
-    """Real perturbation fields at t = 0 from the +/- xi mode pair.
-
-    The parity of the pair (phi odd, psi and pi even in xi) collapses the
-    two-term sum into real formulas:
-        varrho = -2 rho' psi cos(x xi)
-        u      = 2 lambda_star (phi sin(x xi), psi cos(x xi))
-        q      = 2 pi cos(x xi)
-    """
-    fs = ms.forms
-    x = np.asarray(x_grid, dtype=float)
-    cos = np.cos(x[:, None] * fs.xi)
-    sin = np.sin(x[:, None] * fs.xi)
-    psi_f = ms.psi_full()
-    varrho = -2.0 * cos * (fs.drho_nodes * psi_f)[None, :]
-    u1 = 2.0 * lambda_star * sin * ms.phi[None, :]
-    u2 = 2.0 * lambda_star * cos * psi_f[None, :]
-    q = 2.0 * cos * ms.pi[None, :]
-    return RealModeField(x=x, y=fs.grid.nodes, varrho=varrho, u1=u1, u2=u2, q=q,
-                         lambda_star=lambda_star, xi=fs.xi)
 
 
 def escape_time(Lambda: float, epsilon: float, m0: float, delta: float,

@@ -80,19 +80,6 @@ def kinetic_energy(state: EvolveState, fs: FormSet) -> float:
     return 0.5 * float(state.w @ fs.Jm @ state.w)
 
 
-def energy_balance_residual(before: EvolveState, after: EvolveState,
-                            c: SlabConfig, fs: FormSet) -> float:
-    """Defect of the discrete kinetic-energy identity over one step.
-
-    The rate of change of (1/2) w' Jm w must balance the dissipation
-    w' Gm w and the gravity coupling g xi^2 <sigma, w>; both are evaluated
-    by the trapezoidal average of their endpoint values, so the defect is
-    O(dt^2), matching the scheme's consistency order.  Returns the defect
-    normalized by the largest of the three terms.
-    """
-    return _row(before, after, c, fs)[3]
-
-
 def _row(before: EvolveState, after: EvolveState, c: SlabConfig, fs: FormSet) -> tuple:
     """The row (t, amplitude, energy, balance_residual) of `after`, one step
     after `before`."""
@@ -102,7 +89,10 @@ def _row(before: EvolveState, after: EvolveState, c: SlabConfig, fs: FormSet) ->
 
 def _sampled_rows(t0, Z0, t1, Z1, c: SlabConfig, fs: FormSet) -> list:
     """Rows (t, amplitude, energy, balance_residual) of the states [w; sigma]
-    in the rows of Z1, at times t1, each one step after the same row of Z0."""
+    in the rows of Z1, at times t1, each one step after the same row of Z0.
+    balance_residual is the O(dt^2) defect of the kinetic-energy identity,
+    with the dissipation and coupling terms averaged over the step's ends,
+    normalized by the largest of its three terms."""
     m = Z0.shape[1] // 2
     gw = (c.g * fs.xi * fs.xi) * fs.grid.w[1:-1]
 

@@ -1,4 +1,4 @@
-"""Steady density profiles on [0, 1] and the hydrostatic background."""
+"""Steady density profiles on [0, 1]."""
 
 import csv
 from dataclasses import dataclass
@@ -9,13 +9,10 @@ import numpy as np
 from .errors import NonPositiveDensity
 from .grid import (
     MAX_NODES,
-    SpectralGrid,
     barycentric_eval,
     barycentric_weights,
-    build_grid,
     chebyshev_lobatto_nodes,
     differentiation_matrix,
-    lobatto_barycentric_weights,
 )
 
 MIN_TABLE_NODES = 8
@@ -192,28 +189,3 @@ def validate_profile(p: DensityProfile) -> ValidationReport:
     y0 = float(yi[int(np.argmax(d))]) if rt else None
     return ValidationReport(positive=True, rt_condition=rt, y0_witness=y0)
 
-
-def hydrostatic_pressure(p: DensityProfile, g: float, grid: SpectralGrid | None = None):
-    """Hydrostatic pressure pbar(y) with pbar(0) = 0 and pbar' = -g rho.
-
-    The antiderivative is obtained by inverting the differentiation matrix
-    with its first row replaced by the point condition at y = 0; the result
-    is returned as the barycentric interpolant through the grid nodes.
-    """
-    if grid is None:
-        grid = build_grid(_SAMPLE_N)
-    rho_n = np.asarray(p.rho(grid.nodes), dtype=float)
-    A = grid.D1.copy()
-    A[0, :] = 0.0
-    A[0, 0] = 1.0
-    rhs = rho_n.copy()
-    rhs[0] = 0.0
-    q = np.linalg.solve(A, rhs)
-    q -= q[0]  # pin the anchor value exactly despite solver roundoff
-    pbar_nodes = -g * q
-    bw = lobatto_barycentric_weights(grid.n)
-
-    def pbar(t):
-        return barycentric_eval(grid.nodes, bw, pbar_nodes, t)
-
-    return pbar

@@ -239,8 +239,7 @@ def _bump_center(p: DensityProfile) -> float:
 
 
 def upper_bound_constants(p: DensityProfile, c: SlabConfig, grid: SpectralGrid,
-                          band: tuple[float, float],
-                          width: float | None = None) -> tuple[float, float]:
+                          band: tuple[float, float]) -> tuple[float, float]:
     """Constants C1, C2 with alpha(s) <= s C2 - C1 on the whole band.
 
     A bump test function v centred at a heavy-over-light point is sampled
@@ -250,14 +249,14 @@ def upper_bound_constants(p: DensityProfile, c: SlabConfig, grid: SpectralGrid,
     the forms alpha uses, the bound holds exactly at the discrete level for
     every s > 0.  A band edge of 0 raises ZeroFrequency.
 
-    The default width min(y0, 1 - y0) is halved until the bump sees a
-    positive density gradient, which must happen by continuity.
+    The bump width starts at min(y0, 1 - y0) and is halved until the bump
+    sees a positive density gradient, which must happen by continuity.
     """
     validate_profile(p)  # positivity; _bump_center raises NoRTPoint
     y0 = _bump_center(p)
     fa, fb = (assemble_forms(p, c, grid, xi) for xi in band)
 
-    delta = width if width is not None else min(y0, 1.0 - y0)
+    delta = min(y0, 1.0 - y0)
     for _ in range(60):
         v = bump_values(grid.nodes, y0, delta)[1:-1]
         num1 = float(v @ fa.E2m @ v)

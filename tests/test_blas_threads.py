@@ -41,9 +41,10 @@ def _evolve_outputs(out: Path) -> tuple:
 
 
 def test_two_blas_threads_move_evolve_only_at_roundoff(tmp_path):
-    # the batched Crank-Nicolson step and the row products are dgemm calls,
-    # whose rounding depends on the OpenBLAS thread count; two threads moved
-    # the stable.ini amplitudes by 4.5e-16 relative and lambda_fit not at all
+    # the propagator power R = P^k, the pair-chain products by R and the row
+    # products are dgemm calls, whose rounding depends on the OpenBLAS thread
+    # count; two threads moved the stable.ini amplitudes by 3.3e-16 relative
+    # and lambda_fit not at all
     args = ["evolve", "--config", str(CONFIGS / "stable.ini"), "--xi", "2"]
     env = {k: v for k, v in os.environ.items() if k != "OMP_NUM_THREADS"}
     env.update(OPENBLAS_NUM_THREADS="2",

@@ -20,7 +20,6 @@ from slabrt import (
     escape_time,
     growth_rate,
     preset_profile,
-    real_fields,
     reconstruct_mode,
     scan_band,
 )
@@ -408,22 +407,6 @@ def test_scan_stable_config_is_empty(profile_down, grid64):
     res = scan_band(profile_down, c, grid64, (0.5, 6.0), 6)
     assert res.samples == [] and res.lattice == []
     assert res.Lambda is None and res.xi_star is None
-
-
-def test_real_fields_structure(default_mode, default_config):
-    x = np.linspace(0.0, 2.0 * np.pi, 41)
-    f = real_fields(default_mode, 0.5, x)
-    # all fields real by construction
-    for arr in (f.varrho, f.u1, f.u2, f.q):
-        assert np.isrealobj(arr)
-    # div u = 2 L* (xi phi + psi') cos(x xi) vanishes with the divergence
-    g = default_mode.forms.grid
-    du = 2.0 * 0.5 * (default_mode.forms.xi * default_mode.phi
-                      + g.D1 @ default_mode.psi_full())
-    assert np.max(np.abs(du)) <= 1e-8
-    # both velocity components carry energy
-    assert np.linalg.norm(f.u1) > 0.0
-    assert np.linalg.norm(f.u2) > 0.0
 
 
 def test_escape_time_variant_a():

@@ -14,7 +14,6 @@ from slabrt import (
     escape_time,
     growth_rate,
     preset_profile,
-    real_fields,
 )
 from slabrt.forms import curvature_matrix, slope_traces
 from slabrt.variational import _rayleigh_fixed_point, _ReducedPencil
@@ -107,18 +106,6 @@ def test_sharp_layer_grid_convergence():
     lam128 = growth_rate(p, c, build_grid(128), 2.0).lam
     lam256 = growth_rate(p, c, build_grid(256), 2.0).lam
     assert abs(lam128 - lam256) / lam256 <= 1e-5
-
-
-def test_real_fields_horizontally_periodic(default_mode):
-    # lattice frequency xi = 2 with L = 1: all fields repeat over 2 pi L
-    period = 2.0 * np.pi
-    x = np.array([0.3, 1.1, 2.9])
-    f1 = real_fields(default_mode, 0.5, x)
-    f2 = real_fields(default_mode, 0.5, x + period)
-    assert np.allclose(f1.varrho, f2.varrho, atol=1e-12)
-    assert np.allclose(f1.u1, f2.u1, atol=1e-12)
-    assert np.allclose(f1.u2, f2.u2, atol=1e-12)
-    assert np.allclose(f1.q, f2.q, atol=1e-12)
 
 
 def test_escape_time_monotonicity():

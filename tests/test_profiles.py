@@ -5,7 +5,6 @@ from slabrt import (
     SlabConfig,
     build_grid,
     constant_profile,
-    hydrostatic_pressure,
     preset_profile,
     profile_from_csv,
     tabulated_profile,
@@ -136,35 +135,3 @@ def test_slab_config_invariants():
         SlabConfig(mu=1.0, L=-1.0)
     with pytest.raises(ValueError):
         SlabConfig(mu=np.inf)
-
-
-def test_hydrostatic_pressure_constant_density():
-    # rho = 1, g = 1: pbar(y) = -y
-    p = constant_profile(1.0)
-    pb = hydrostatic_pressure(p, 1.0)
-    xs = np.linspace(0, 1, 11)
-    assert np.max(np.abs(pb(xs) + xs)) <= 1e-12
-
-
-def test_hydrostatic_pressure_linear_density(profile_up):
-    # rho = 1 + y, g = 2: pbar(1) = -2 (1 + 1/2) = -3
-    pb = hydrostatic_pressure(profile_up, 2.0)
-    assert pb(1.0) == pytest.approx(-3.0, abs=1e-12)
-    assert pb(0.0) == 0.0
-
-
-def test_hydrostatic_pressure_exponential(profile_exp):
-    # analytic antiderivative oracle: pbar(1) = -(e - 1) = 1 - e
-    pb = hydrostatic_pressure(profile_exp, 1.0)
-    assert pb(1.0) == pytest.approx(1.0 - np.e, abs=1e-12)
-
-
-@pytest.mark.parametrize("name", ["exp", "linear-up", "tanh-layer"])
-def test_hydrostatic_residual(name):
-    # pbar' + g rho = 0 to quadrature accuracy on the assembly grid
-    p = preset_profile(name)
-    g = build_grid(128)
-    pb = hydrostatic_pressure(p, 1.0, g)
-    pbn = pb(g.nodes)
-    res = np.max(np.abs(g.D1 @ pbn + p.rho(g.nodes)))
-    assert res <= 1e-10
