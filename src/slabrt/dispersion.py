@@ -196,33 +196,91 @@ def reconstruct_mode(fs: FormSet, c: SlabConfig, lam: float,
 def companion_oracle(fs: FormSet):
     """Largest real eigenvalue of lam^2 Jm v + lam Gm v - E2m v = 0.
 
-    With lam = theta s, theta = sqrt(|E2m| / |Jm|), the quadratic
-    s^2 A2 + s A1 + A0 (A2 = theta^2 Jm, A1 = theta Gm, A0 = -E2m) has the
-    first-companion pencil A z = s B z, A = [[-A1, -A0], [I, 0]],
-    B = diag(A2, I), z = (s v, v).  Shifting and inverting about s = SHIFT
-    turns it into the standard problem C z = nu z, C = (A - SHIFT B)^-1 B,
-    nu = 1 / (s - SHIFT), whose eigenvalues Hessenberg QR finds.  The block
-    structure needs only one m x m LU solve with P = SHIFT^2 A2 + SHIFT A1
-    + A0: C's lower block rows are X = -P^-1 [A2, A1 + SHIFT A2] and its
-    upper ones SHIFT X + [0, I].  This is an independent check on the
-    variational fixed point: a completely different factorization path
-    produces the same rate.  Returns (lam, v) with v J-normalized, or None
-    when no real eigenvalue exceeds REAL_EIG_TOL * theta.  Raises
-    EigensolveFailure when P is singular or so ill-conditioned that the
-    solve would warn, that is when the shift is (nearly) an eigenvalue.
+    An independent check on the variational fixed point: one dense
+    eigensolve of a 2m linearization sees the whole spectrum.  When E2m
+    is positive semidefinite to roundoff (rho' >= 0 at every node of the
+    doubled rule), E2m = R'R, R = diag(sqrt(w)) Q' from E2m = Q diag(w) Q',
+    and with Jm = L L' the symmetric H = [[-L^-1 Gm L^-T, L^-1 R'],
+    [R L^-T, 0]] has det(lam I - H) = det(lam^2 Jm + lam Gm - E2m), so all
+    2m eigenvalues are real and one symmetric eigensolve finds them
+    (Tisseur & Meerbergen, SIAM Rev. 43 (2001) 235).  Otherwise, or when
+    Jm has no Cholesky factor, _companion_rate's shift-and-invert
+    companion runs; only there can complex pairs exist.  Returns (lam, v)
+    with v J-normalized, or None when no real eigenvalue exceeds
+    REAL_EIG_TOL * theta, theta = sqrt(|E2m| / |Jm|).  Raises
+    EigensolveFailure naming xi when an eigensolve fails or the
+    companion's shift is (nearly) an eigenvalue.
+    """
+    try:
+        H = _definite_linearization(fs)
+        vals = None if H is None else sla.eigh(H, eigvals_only=True, overwrite_a=True)
+    except sla.LinAlgError as exc:
+        raise EigensolveFailure(f"symmetric eigensolve failed at xi = {fs.xi:g}: {exc}") from exc
+    lam = _companion_rate(fs) if vals is None else float(vals[-1])
+    if lam is None or lam <= REAL_EIG_TOL * _theta(fs):
+        return None
 
-    theta sets the scale of the shift: lam = -theta lies below every
-    growing rate and near the origin, so the eigenvalues closest to it,
-    the small physical ones, get the largest |nu| and the best relative
-    accuracy.  The returned eigenvector is the null direction of the
-    symmetric pencil evaluated at the converged eigenvalue, which is far
-    better conditioned than the companion's bottom block.
+    # Rayleigh polish: alternate the symmetric null direction at lam with
+    # the exact growing root of the quadratic Rayleigh functional (cubic
+    # local convergence).  At the largest real root P(lam) is positive
+    # semidefinite, so its eigenvalue nearest zero is the smallest.  That
+    # null direction is the returned eigenvector, far better conditioned
+    # than a linearization's eigenvector block.
+    for _ in range(3):
+        P = lam * lam * fs.Jm + lam * fs.Gm - fs.E2m
+        v = sla.eigh(P, subset_by_index=[0, 0])[1][:, 0]
+        lam_new = _rayleigh_root(v @ fs.Jm @ v, v @ fs.Gm @ v, v @ fs.E2m @ v)
+        if lam_new is None or lam_new <= 0.0:
+            break
+        done = abs(lam_new - lam) <= 1e-14 * lam
+        lam = float(lam_new)
+        if done:
+            break
+    return lam, _fix_sign(v / np.sqrt(v @ fs.Jm @ v))
+
+
+def _theta(fs: FormSet) -> float:
+    nJ, nE = np.linalg.norm(fs.Jm), np.linalg.norm(fs.E2m)
+    return np.sqrt(nE / nJ) if nE > 0 and nJ > 0 else 1.0
+
+
+def _definite_linearization(fs: FormSet) -> np.ndarray | None:
+    """companion_oracle's symmetric H, or None when E2m has an eigenvalue
+    below -10 m eps max|w| or Jm has no Cholesky factor."""
+    m = fs.Jm.shape[0]
+    w, Q = sla.eigh(fs.E2m)
+    if w[0] < -10 * m * np.finfo(float).eps * np.max(np.abs(w)):
+        return None
+    try:
+        red = _ReducedPencil(fs.Jm, fs.Gm)
+    except EigensolveFailure:
+        return None
+    H = np.zeros((2 * m, 2 * m))
+    np.negative(red.A1t, out=H[:m, :m])
+    H[m:, :m] = sla.solve_triangular(red.L, Q * np.sqrt(np.maximum(w, 0.0)), lower=True).T
+    H[:m, m:] = H[m:, :m].T
+    return H
+
+
+def _companion_rate(fs: FormSet) -> float | None:
+    """companion_oracle's unpolished rate for any sign of E2m.  With
+    lam = theta s, s^2 A2 + s A1 + A0 (A2 = theta^2 Jm, A1 = theta Gm,
+    A0 = -E2m) has the first-companion pencil A z = s B z with
+    A = [[-A1, -A0], [I, 0]], B = diag(A2, I), z = (s v, v).  Shifting and
+    inverting about s = SHIFT turns it into the standard problem
+    C z = nu z, C = (A - SHIFT B)^-1 B, nu = 1 / (s - SHIFT), whose
+    eigenvalues Hessenberg QR finds.  The block structure needs only one
+    m x m LU solve with P = SHIFT^2 A2 + SHIFT A1 + A0: C's lower block
+    rows are X = -P^-1 [A2, A1 + SHIFT A2] and its upper ones
+    SHIFT X + [0, I].  Raises EigensolveFailure when P is singular or so
+    ill-conditioned that the solve would warn, that is when the shift is
+    (nearly) an eigenvalue.  theta sets the scale of the shift:
+    lam = -theta lies below every growing rate and near the origin, so the
+    eigenvalues closest to it, the small physical ones, get the largest
+    |nu| and the best relative accuracy.
     """
     m = fs.Jm.shape[0]
-    nJ = np.linalg.norm(fs.Jm)
-    nE = np.linalg.norm(fs.E2m)
-    theta = np.sqrt(nE / nJ) if nE > 0 and nJ > 0 else 1.0
-
+    theta = _theta(fs)
     # C's lower block rows take [A2, A1 + SHIFT A2]; its upper left is scratch
     C = np.empty((2 * m, 2 * m))
     A2, rhs1, scratch = C[m:, :m], C[m:, m:], C[:m, :m]
@@ -254,25 +312,7 @@ def companion_oracle(fs: FormSet):
     # rate counts as growing only above the real-part tolerance
     real = np.abs(vals.imag) <= REAL_EIG_TOL * (1.0 + np.abs(vals.real))
     good = real & (vals.real > REAL_EIG_TOL * theta)
-    if not np.any(good):
-        return None
-    lam = float(np.max(vals.real[good]))
-
-    # Rayleigh polish: alternate the symmetric null direction at lam with
-    # the exact growing root of the quadratic Rayleigh functional (cubic
-    # local convergence).  At the largest real root P(lam) is positive
-    # semidefinite, so its eigenvalue nearest zero is the smallest.
-    for _ in range(3):
-        P = lam * lam * fs.Jm + lam * fs.Gm - fs.E2m
-        v = sla.eigh(P, subset_by_index=[0, 0])[1][:, 0]
-        lam_new = _rayleigh_root(v @ fs.Jm @ v, v @ fs.Gm @ v, v @ fs.E2m @ v)
-        if lam_new is None or lam_new <= 0.0:
-            break
-        done = abs(lam_new - lam) <= 1e-14 * lam
-        lam = float(lam_new)
-        if done:
-            break
-    return lam, _fix_sign(v / np.sqrt(v @ fs.Jm @ v))
+    return float(np.max(vals.real[good])) if np.any(good) else None
 
 
 def _lattice_frequencies(band: tuple[float, float], L: float) -> list[float]:

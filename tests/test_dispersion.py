@@ -23,6 +23,8 @@ from slabrt import (
     reconstruct_mode,
     scan_band,
 )
+import slabrt.dispersion
+from slabrt.dispersion import _companion_rate, _definite_linearization
 from slabrt.errors import ConvergenceFailure, EigensolveFailure, EmptyBand, NonPositiveHorizon
 
 
@@ -132,27 +134,34 @@ def test_companion_none_for_dissipative_system(grid64):
 def test_companion_rejects_shift_at_an_eigenvalue(profile_up, default_config, grid32,
                                                   g_big, g_last):
     # Jm = E2m = I gives theta = 1 and P(SHIFT) = -Gm: zero for Gm = 0 (the
-    # shift is an eigenvalue), else of condition 1e17 (one within 1e-9)
+    # shift is an eigenvalue), else of condition 1e17 (one within 1e-9).
+    # E2m = I is positive definite, so companion_oracle itself would take
+    # the symmetric path; the companion helper is called directly.
     fs = assemble_forms(profile_up, default_config, grid32, 2.0)
     eye = np.eye(fs.Jm.shape[0])
     Gm = np.diag(np.r_[np.full(eye.shape[0] - 1, g_big), g_last])
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with pytest.raises(EigensolveFailure, match=r"^companion shift lam = -1 at xi = 2 is "):
-            companion_oracle(replace(fs, Jm=eye, Gm=Gm, E2m=eye))
+            _companion_rate(replace(fs, Jm=eye, Gm=Gm, E2m=eye))
     assert not caught
 
 
-def _qz_reference(fs):
-    """Largest real eigenvalue (or None) and largest real part of a complex
-    eigenvalue (or None) of the unshifted, theta-scaled companion by QZ."""
+def _qz_spectrum(fs):
+    """Finite eigenvalues of the unshifted, theta-scaled companion by QZ."""
     m = fs.Jm.shape[0]
     theta = np.sqrt(np.linalg.norm(fs.E2m) / np.linalg.norm(fs.Jm))
     Z, eye = np.zeros((m, m)), np.eye(m)
     A = np.block([[-theta * fs.Gm, fs.E2m], [eye, Z]])
     B = np.block([[theta * theta * fs.Jm, Z], [Z, eye]])
     vals = sla.eig(A, B, right=False)
-    vals = theta * vals[np.isfinite(vals)]
+    return theta * vals[np.isfinite(vals)]
+
+
+def _qz_reference(fs):
+    """Largest real eigenvalue (or None) and largest real part of a complex
+    eigenvalue (or None) of the pencil by QZ."""
+    vals = _qz_spectrum(fs)
     real = np.abs(vals.imag) <= 1e-8 * (1.0 + np.abs(vals.real))
     growing = vals.real[real & (vals.real > 0.0)]
     rate = float(np.max(growing)) if growing.size else None
@@ -181,6 +190,87 @@ def test_companion_matches_qz_reference(grid64, name, c, xi):
     assert oracle[0] == pytest.approx(rate, rel=1e-6)
     # the premise of a real-rate method: no complex mode outgrows the real one
     assert cplx is None or cplx <= rate
+
+
+# cases where rho' >= 0, so E2m is positive semidefinite: the sharp layer's
+# E2m is so only to roundoff (Cholesky fails on it), and exp with these
+# slip walls makes Gm indefinite
+DEFINITE_CASES = [
+    ("linear-up", {}, SlabConfig(mu=0.01, g=1.0, k0=0.0, k1=0.0, L=1.0), 2.0),
+    ("tanh-layer", {}, SLIP_BELOW_XI_C, 2.0),
+    ("tanh-layer", {"w": 0.01}, SlabConfig(mu=0.01, g=1.0, k0=0.0, k1=0.0, L=1.0), 3.0),
+    ("exp", {}, SlabConfig(mu=0.1, g=1.0, k0=2.0, k1=-1.0, L=1.0), 2.0),
+]
+
+
+@pytest.mark.parametrize("name, params, c, xi", DEFINITE_CASES)
+def test_definite_linearization_has_the_pencil_spectrum(grid64, name, params, c, xi):
+    fs = assemble_forms(preset_profile(name, **params), c, grid64, xi)
+    H = _definite_linearization(fs)
+    assert H is not None and np.array_equal(H, H.T)
+    sym = sla.eigh(H, eigvals_only=True)
+    qz = _qz_spectrum(fs)
+    scale = np.max(np.abs(sym))
+    assert qz.size == sym.size == 2 * fs.Jm.shape[0]
+    assert np.max(np.abs(qz.imag)) <= 1e-12 * scale
+    assert np.max(np.abs(np.sort(qz.real) - sym)) <= 1e-11 * scale
+
+
+@pytest.mark.parametrize("name, params, c, xi", DEFINITE_CASES)
+def test_definite_path_matches_companion_path(grid64, monkeypatch, name, params, c, xi):
+    fs = assemble_forms(preset_profile(name, **params), c, grid64, xi)
+    lam, v = companion_oracle(fs)
+    monkeypatch.setattr(slabrt.dispersion, "_definite_linearization", lambda fs: None)
+    lam_c, v_c = companion_oracle(fs)
+    assert lam == pytest.approx(lam_c, rel=1e-10)
+    assert np.max(np.abs(v - v_c)) <= 1e-6 * np.max(np.abs(v))
+
+
+def _count_eig(monkeypatch):
+    eig, calls = sla.eig, []
+    monkeypatch.setattr(sla, "eig", lambda *a, **k: calls.append(1) or eig(*a, **k))
+    return calls
+
+
+@pytest.mark.parametrize("name, params, c, xi, companion", [
+    *[(*case, False) for case in DEFINITE_CASES],
+    ("linear-down", {}, SlabConfig(mu=0.5, g=1.0, k0=-1.0, k1=-0.5, L=1.0), 2.0, True),
+    ("linear-down", {}, INDEFINITE, 6.05, True),
+])
+def test_oracle_runs_the_companion_only_where_e2m_is_indefinite(grid64, monkeypatch, name,
+                                                                params, c, xi, companion):
+    fs = assemble_forms(preset_profile(name, **params), c, grid64, xi)
+    calls = _count_eig(monkeypatch)
+    companion_oracle(fs)
+    assert len(calls) == (1 if companion else 0)
+
+
+def test_oracle_without_gravity_form_takes_symmetric_path(grid64, monkeypatch):
+    # rho = 1: E2m = 0 is positive semidefinite, its m zero eigenvalues do
+    # not count as growing, and with Gm positive definite the other m are
+    # negative (with slip walls that make Gm indefinite, -gamma grows)
+    c = SlabConfig(mu=0.3, g=1.0, k0=0.0, k1=0.0, L=1.0)
+    fs = assemble_forms(constant_profile(1.0), c, grid64, 2.0)
+    assert not np.any(fs.E2m)
+    calls = _count_eig(monkeypatch)
+    assert companion_oracle(fs) is None
+    assert not calls
+
+
+def test_symmetric_eigensolve_failure_names_frequency(profile_up, default_config, grid32,
+                                                      monkeypatch):
+    fs = assemble_forms(profile_up, default_config, grid32, 2.0)
+    eigh, m = sla.eigh, fs.Jm.shape[0]
+
+    def failing(a, *args, **kw):
+        if a.shape[0] == 2 * m:
+            raise sla.LinAlgError("did not converge")
+        return eigh(a, *args, **kw)
+
+    monkeypatch.setattr(sla, "eigh", failing)
+    with pytest.raises(EigensolveFailure,
+                       match=r"^symmetric eigensolve failed at xi = 2: did not converge$"):
+        companion_oracle(fs)
 
 
 def test_complex_pair_grows_where_gm_is_indefinite(profile_down, grid64):
