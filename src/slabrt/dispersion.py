@@ -94,9 +94,10 @@ def growth_rate(p: DensityProfile, c: SlabConfig, grid: SpectralGrid,
     gamma^2 / 4 < alpha(0), and else the iteration restarts at
     s0 = -gamma / 2.  F(s0) >= 0 there raises ConvergenceFailure rather
     than answering "stable": no mode grows faster than s0, but an
-    oscillatory (complex) mode may grow on (0, s0).  iters counts every
-    eigensolve.  The minimizer at the root is the mode shape;
-    reconstruct_mode gives phi, pi and residuals.
+    oscillatory (complex) mode may grow on (0, s0).  The minimizer at the
+    root is the mode shape, taken from the iteration's last eigensolve when
+    the root is its point and else from one more; iters counts every
+    eigensolve.  reconstruct_mode gives phi, pi and residuals.
     """
     what = f"growth-rate fixed point at xi = {xi:g}"
     fs = assemble_forms(p, c, grid, xi)
@@ -121,7 +122,9 @@ def growth_rate(p: DensityProfile, c: SlabConfig, grid: SpectralGrid,
                                      f"-gamma/2 = {s0:g}, but an oscillatory (complex) "
                                      f"mode may grow on (0, {s0:g})")
         it += 1 + steps
-    aval, psi = red.pair(lam)
+    solved_at, aval, u = red.solved
+    aval, psi = (aval, red.mode(u)) if solved_at == lam else red.pair(lam)
+    it += solved_at != lam  # pair's eigensolve
     phi, pi, residuals = reconstruct_mode(fs, c, lam, psi)
     return ModeSolution(lam=lam, psi=psi, phi=phi, pi=pi,
                         residuals={"fixed_point_res": abs(aval + lam * lam), **residuals},

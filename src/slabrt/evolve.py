@@ -117,10 +117,11 @@ def _propagator_power(stepper: CrankNicolsonStepper, steps: int) -> np.ndarray:
     running the stepper's own arithmetic on the columns of the identity."""
     m = stepper.K.shape[0]
     Z = np.eye(2 * m)
-    W = np.empty((m, 2 * m))
+    W = stepper.K.copy()  # K times the identity
     h = stepper.half_dt_drho[:, None]
-    for _ in range(steps):
-        np.matmul(stepper.K, Z, out=W)
+    for i in range(steps):
+        if i:
+            np.matmul(stepper.K, Z, out=W)
         Z[:m] += W
         Z[:m] *= h
         Z[m:] -= Z[:m]

@@ -66,40 +66,50 @@ def _rayleigh_root(a: float, b: float, e: float) -> float | None:
 class _ReducedPencil:
     """The pencil (s A1 - A0) v = theta B v with B positive definite,
     reduced once through B = L L' to standard symmetric problems in
-    L^{-1} (s A1 - A0) L^{-T}.  Without A0 the pencil is A1 v = theta B v."""
+    L^{-1} (s A1 - A0) L^{-T}.  Without A0 the pencil is A1 v = theta B v.
+    L^{-1} comes from trtri and is not kept: products with it are faster than
+    substitution and as stable (Du Croz & Higham, IMA J. Numer. Anal. 12 (1992) 1)."""
 
     def __init__(self, B: np.ndarray, A1: np.ndarray, A0: np.ndarray | None = None):
         try:
             self.L = sla.cholesky(B, lower=True)
         except sla.LinAlgError as exc:
             raise EigensolveFailure(f"pencil mass matrix is not positive definite: {exc}") from exc
+        Li, info = sla.get_lapack_funcs("trtri", (self.L,))(self.L, lower=1)
+        if info != 0:
+            raise EigensolveFailure(f"Cholesky factor has no inverse: trtri info = {info}")
         self.B = B
-        self.A1t = self._congruence(A1)
-        self.A0t = None if A0 is None else self._congruence(A0)
+        self.A1t = self._congruence(Li, A1)
+        self.A0t = None if A0 is None else self._congruence(Li, A0)
 
-    def _congruence(self, A: np.ndarray) -> np.ndarray:
-        """L^{-1} A L^{-T} for symmetric A."""
-        Y = sla.solve_triangular(self.L, A, lower=True)
-        Z = sla.solve_triangular(self.L, Y.T, lower=True)
+    @staticmethod
+    def _congruence(Li: np.ndarray, A: np.ndarray) -> np.ndarray:
+        """Li A Li' for symmetric A, symmetrized."""
+        Z = Li @ A @ Li.T
         return 0.5 * (Z + Z.T)
 
     def _at(self, s: float) -> np.ndarray:
         return self.A1t if self.A0t is None else s * self.A1t - self.A0t
 
+    def mode(self, u: np.ndarray) -> np.ndarray:
+        """Eigenvector L^{-T} u of a unit reduced one u, B-normalized and signed by _fix_sign."""
+        v = sla.solve_triangular(self.L, u, lower=True, trans="T")
+        return _fix_sign(v / np.sqrt(v @ self.B @ v))
+
     def pair(self, s: float = 1.0, largest: bool = False):
-        """Extreme eigenpair at s with v' B v = 1 and a deterministic sign
-        (largest-magnitude component positive)."""
+        """Extreme eigenpair at s, the vector as from mode."""
         At = self._at(s)
         idx = At.shape[0] - 1 if largest else 0
         vals, vecs = sla.eigh(At, subset_by_index=[idx, idx])
-        v = sla.solve_triangular(self.L, vecs[:, 0], lower=True, trans="T")
-        v = v / np.sqrt(v @ self.B @ v)
-        return float(vals[0]), _fix_sign(v)
+        return float(vals[0]), self.mode(vecs[:, 0])
 
     def rayleigh_coefficients(self, s: float):
-        """(1, u' A1 u, u' A0 u) for the unit minimizer u at s: the
-        coefficients of the Rayleigh functional s^2 + (u' A1 u) s - u' A0 u."""
-        u = sla.eigh(self._at(s), subset_by_index=[0, 0])[1][:, 0]
+        """(1, u' A1 u, u' A0 u) for the unit minimizer u at s: the coefficients
+        of the Rayleigh functional s^2 + (u' A1 u) s - u' A0 u.  The solve is
+        kept as solved = (s, theta, u)."""
+        vals, vecs = sla.eigh(self._at(s), subset_by_index=[0, 0])
+        u = vecs[:, 0]
+        self.solved = (s, float(vals[0]), u)
         return 1.0, float(u @ self.A1t @ u), float(u @ self.A0t @ u)
 
 
@@ -116,10 +126,11 @@ def _rayleigh_fixed_point(coefficients, what: str, t0: float = 0.0):
     FIXED_POINT_TOL * max(1, t), which includes the stall at the roundoff
     floor; the test relies on the start lying below the root, since from
     above the first step would fall and stop at a mere lower bound.
-    Returns (root, steps) with steps the number of eigensolves, and
-    (None, 1) when the start is not below a root: a t0^2 + b t0 - e >= 0,
-    which at t0 = 0 reads e <= 0 and means no growing root where the
-    functional increases on t >= 0.
+    Returns (root, steps), steps the number of eigensolves and root the last
+    point solved at, t, if the increase is also <= FIXED_POINT_TOL * t, else
+    the next one; (None, 1) when the start is not below a root:
+    a t0^2 + b t0 - e >= 0, which at t0 = 0 reads e <= 0 and means no
+    growing root where the functional increases on t >= 0.
     """
     t = t0
     for steps in range(1, RAYLEIGH_CAP + 1):
@@ -130,7 +141,7 @@ def _rayleigh_fixed_point(coefficients, what: str, t0: float = 0.0):
         if nxt is None:  # only roundoff at the root can make it complex
             return t, steps
         if nxt - t <= FIXED_POINT_TOL * max(1.0, nxt):
-            return nxt, steps
+            return (t if nxt - t <= FIXED_POINT_TOL * t else nxt), steps
         t = nxt
     raise ConvergenceFailure(f"{what} did not converge in {RAYLEIGH_CAP} steps")
 

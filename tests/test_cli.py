@@ -4,8 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from slabrt import growth_rate
-from slabrt.cli import main
+from slabrt import build_grid, growth_rate
+from slabrt.cli import load_config, main
 from schema_check import validate_file
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -565,7 +565,10 @@ def test_dispersion_band_a_below_empty_critical_band(tmp_path, capsys):
     assert "xi_c = 2.39936 is not below the upper edge b = 2" in capsys.readouterr().err
     assert main(["dispersion", "--config", str(cfg), "--out", str(out)]) == 0
     summary = json.loads((out / "summary.json").read_text())
-    assert summary["Lambda"] == 1.969138703343954 and summary["band"] == [0.1, 2.0]
+    # xi = 1 is the band's one lattice frequency
+    cfg = load_config(str(cfg))
+    lam = growth_rate(cfg.profile(), cfg.slab(), build_grid(cfg.n), 1.0).lam
+    assert summary["Lambda"] == lam and summary["band"] == [0.1, 2.0]
 
 
 @pytest.mark.parametrize("profile,message", [

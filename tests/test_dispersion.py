@@ -1,6 +1,7 @@
 import tracemalloc
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,8 +25,12 @@ from slabrt import (
     scan_band,
 )
 import slabrt.dispersion
+from slabrt.cli import _scan, load_config
 from slabrt.dispersion import _companion_rate, _definite_linearization
 from slabrt.errors import ConvergenceFailure, EigensolveFailure, EmptyBand, NonPositiveHorizon
+from slabrt.variational import _ReducedPencil
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def test_stable_profile_has_no_growing_mode(profile_down, grid64):
@@ -59,6 +64,59 @@ def test_rejection_above_mu_c_costs_one_eigensolve(profile_down, grid64, monkeyp
     c = SlabConfig(mu=mu, g=1.0, k0=k0, k1=k1, L=1.0)
     assert growth_rate(profile_down, c, grid64, 2.0) is None
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("xi, c", [(2.0, None), (0.5, None), (2.0, INDEFINITE)],
+                         ids=["default", "default-unsolved-root", "indefinite-restart"])
+def test_growth_rate_mode_is_its_last_counted_eigensolve(profile_up, profile_down,
+                                                         default_config, grid64, monkeypatch,
+                                                         xi, c):
+    # the mode comes from the iteration's last eigensolve, or from one more
+    # (at xi = 0.5 the root is the step past the last point solved at);
+    # either way it is alpha's minimizer at the rate, bit for bit
+    p, c = (profile_up, default_config) if c is None else (profile_down, c)
+    eigh, calls = sla.eigh, []
+    monkeypatch.setattr(sla, "eigh", lambda *a, **k: calls.append(1) or eigh(*a, **k))
+    ms = growth_rate(p, c, grid64, xi)
+    assert ms is not None and len(calls) == ms.iters
+    a, psi = alpha(ms.forms, ms.lam)
+    assert np.array_equal(psi, ms.psi)
+    assert abs(a + ms.lam * ms.lam) == ms.residuals["fixed_point_res"]
+
+
+def test_growth_rate_at_tiny_gravity(profile_up, grid32):
+    # a relative stopping test: the increase past the last point solved at
+    # is at most 1e-13 of it, however small the rate
+    c = SlabConfig(mu=0.01, g=1e-12, k0=0.0, k1=0.0, L=1.0)
+    ms = growth_rate(profile_up, c, grid32, 2.0)
+    lam_hat, _ = companion_oracle(ms.forms)
+    assert abs(ms.lam - lam_hat) / lam_hat <= 1e-9
+    assert growth_rate(profile_up, replace(c, g=1e-20), grid32, 2.0).lam > 0.0
+
+
+def test_default_scan_matches_oracle():
+    # every rate of configs/default.ini's scan (69 frequencies, n = 128)
+    cfg = load_config(str(CONFIGS / "default.ini"))
+    p, c, grid = cfg.profile(), cfg.slab(), build_grid(cfg.n)
+    _, res = _scan(cfg, cfg.n_samples)
+    pos = [pt for pt in res.samples if pt.xi > 0]
+    assert cfg.n == 128 and len(pos) == 69
+    for pt in pos:
+        lam_hat, _ = companion_oracle(assemble_forms(p, c, grid, pt.xi))
+        assert abs(pt.lam - lam_hat) / lam_hat <= 1e-9
+
+
+@pytest.mark.parametrize("n", [128, 256])
+def test_reduction_by_inverse_matches_triangular_solves(profile_up, default_config, n):
+    fs = assemble_forms(profile_up, default_config, build_grid(n), 2.0)
+    red = _ReducedPencil(fs.Jm, fs.Gm, fs.E2m)
+    L = sla.cholesky(fs.Jm, lower=True)
+    for At, A in ((red.A1t, fs.Gm), (red.A0t, fs.E2m)):
+        Y = sla.solve_triangular(L, A, lower=True)
+        ref = sla.solve_triangular(L, Y.T, lower=True)
+        ref = 0.5 * (ref + ref.T)
+        assert np.array_equal(At, At.T)
+        assert np.linalg.norm(At - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
 def test_growth_rate_stable_by_bound_where_gm_is_indefinite(profile_down, grid64):

@@ -384,6 +384,19 @@ def test_step_is_one_product_with_the_propagator(profile_exp, profile_down, defa
 
 
 @pytest.mark.parametrize("stable", [False, True])
+def test_propagator_power_one_is_the_step_on_identity_columns(profile_exp, profile_down,
+                                                              default_config, grid32, stable):
+    # R = P^1 starts from K itself; column j is one step from the j-th unit state
+    c, fs, stepper, _ = _cn_case(profile_exp, profile_down, default_config, grid32, stable)
+    m = stepper.K.shape[0]
+    cols = []
+    for e in np.eye(2 * m):
+        after = stepper.step(EvolveState(t=0.0, sigma=e[m:], w=e[:m]))
+        cols.append(np.concatenate((after.w, after.sigma)))
+    assert np.array_equal(slabrt.evolve._propagator_power(stepper, 1), np.array(cols).T)
+
+
+@pytest.mark.parametrize("stable", [False, True])
 def test_step_agrees_with_lu_solve_within_conditioning(profile_exp, profile_down,
                                                        default_config, grid32, stable):
     # from the same state, the propagator's step and a fresh LU solve of the

@@ -20,7 +20,7 @@ from slabrt import (
     preset_profile,
     upper_bound_constants,
 )
-from slabrt.errors import NoRTPoint, NoSignChange, ZeroFrequency
+from slabrt.errors import EigensolveFailure, NoRTPoint, NoSignChange, ZeroFrequency
 from slabrt.forms import curvature_matrix, gradient_matrix, mass_matrix, slope_traces
 from slabrt.variational import (
     _bump_center,
@@ -369,6 +369,14 @@ def test_rayleigh_fixed_point_diagonal_pencil(monkeypatch):
     assert steps == 3
     assert roots[0] == pytest.approx(np.sqrt(10.0) - 2.0, rel=1e-15)
     assert roots == sorted(roots)
+
+
+def test_reduction_names_a_failed_triangular_inverse(monkeypatch):
+    # trtri reports an exactly zero diagonal entry of L through info > 0
+    monkeypatch.setattr(sla, "get_lapack_funcs", lambda names, arrays: lambda L, lower: (L, 2))
+    with pytest.raises(EigensolveFailure,
+                       match=r"^Cholesky factor has no inverse: trtri info = 2$"):
+        _ReducedPencil(np.eye(2), np.eye(2))
 
 
 def test_rayleigh_fixed_point_rejects_nonnegative_alpha0():
