@@ -2,7 +2,6 @@
 band/lattice scans and the escape-time formula."""
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,8 +21,6 @@ from .variational import (
 
 # discretization noise puts tiny imaginary parts on real eigenvalues
 REAL_EIG_TOL = 1e-8
-# companion_oracle's shift in the scaled variable s = lam / theta
-SHIFT = -1.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -200,28 +197,31 @@ def companion_oracle(fs: FormSet):
     """Largest real eigenvalue of lam^2 Jm v + lam Gm v - E2m v = 0.
 
     An independent check on the variational fixed point: one dense
-    eigensolve of a 2m linearization sees the whole spectrum.  When E2m
-    is positive semidefinite to roundoff (rho' >= 0 at every node of the
-    doubled rule), E2m = R'R, R = diag(sqrt(w)) Q' from E2m = Q diag(w) Q',
-    and with Jm = L L' the symmetric H = [[-L^-1 Gm L^-T, L^-1 R'],
-    [R L^-T, 0]] has det(lam I - H) = det(lam^2 Jm + lam Gm - E2m), so all
-    2m eigenvalues are real and one symmetric eigensolve finds them
-    (Tisseur & Meerbergen, SIAM Rev. 43 (2001) 235).  Otherwise, or when
-    Jm has no Cholesky factor, _companion_rate's shift-and-invert
-    companion runs; only there can complex pairs exist.  Returns (lam, v)
-    with v J-normalized, or None when no real eigenvalue exceeds
-    REAL_EIG_TOL * theta, theta = sqrt(|E2m| / |Jm|).  Raises
-    EigensolveFailure naming xi when an eigensolve fails or the
-    companion's shift is (nearly) an eigenvalue.
+    eigensolve of _linearization's 2m matrix H, whose eigenvalues are the
+    pencil's, sees the whole spectrum.  Where E2m is positive semidefinite
+    to roundoff (rho' >= 0 at every node of the doubled rule) H is
+    symmetric, all 2m eigenvalues are real and a symmetric eigensolve
+    finds them; elsewhere, where complex pairs can exist, a nonsymmetric
+    one does.  Returns (lam, v) with v J-normalized, or None when no real
+    eigenvalue exceeds REAL_EIG_TOL * theta, theta = sqrt(|E2m| / |Jm|).
+    Raises EigensolveFailure naming xi when Jm has no Cholesky factor or
+    an eigensolve fails.
     """
     try:
-        H = _definite_linearization(fs)
-        vals = None if H is None else sla.eigh(H, eigvals_only=True, overwrite_a=True)
+        H, symmetric = _linearization(fs)
+    except (sla.LinAlgError, EigensolveFailure) as exc:
+        raise EigensolveFailure(f"companion oracle at xi = {fs.xi:g}: {exc}") from exc
+    try:
+        vals = (sla.eigh(H, eigvals_only=True, overwrite_a=True) if symmetric
+                else sla.eig(H, right=False, overwrite_a=True))
     except sla.LinAlgError as exc:
-        raise EigensolveFailure(f"symmetric eigensolve failed at xi = {fs.xi:g}: {exc}") from exc
-    lam = _companion_rate(fs) if vals is None else float(vals[-1])
-    if lam is None or lam <= REAL_EIG_TOL * _theta(fs):
+        kind = "symmetric" if symmetric else "companion"
+        raise EigensolveFailure(f"{kind} eigensolve failed at xi = {fs.xi:g}: {exc}") from exc
+    real = np.abs(vals.imag) <= REAL_EIG_TOL * (1.0 + np.abs(vals.real))
+    good = real & (vals.real > REAL_EIG_TOL * _theta(fs))
+    if not np.any(good):
         return None
+    lam = float(np.max(vals.real[good]))
 
     # Rayleigh polish: alternate the symmetric null direction at lam with
     # the exact growing root of the quadratic Rayleigh functional (cubic
@@ -247,75 +247,26 @@ def _theta(fs: FormSet) -> float:
     return np.sqrt(nE / nJ) if nE > 0 and nJ > 0 else 1.0
 
 
-def _definite_linearization(fs: FormSet) -> np.ndarray | None:
-    """companion_oracle's symmetric H, or None when E2m has an eigenvalue
-    below -10 m eps max|w| or Jm has no Cholesky factor."""
+def _linearization(fs: FormSet) -> tuple[np.ndarray, bool]:
+    """companion_oracle's H and whether it is symmetric.  With
+    E2m = Q diag(w) Q', Jm = L L', F = L^-1 Q diag(sqrt|w|) and
+    S = diag(sign w), H = [[-L^-1 Gm L^-T, F], [S F', 0]] has
+    det(lam I - H) = det(lam^2 Jm + lam Gm - E2m), a first companion form
+    (Tisseur & Meerbergen, SIAM Rev. 43 (2001) 235).  E2m counts as
+    positive semidefinite, S = I and H symmetric, when w[0] is at least
+    -10 m eps max|w|; w is then clipped at 0."""
     m = fs.Jm.shape[0]
     w, Q = sla.eigh(fs.E2m)
-    if w[0] < -10 * m * np.finfo(float).eps * np.max(np.abs(w)):
-        return None
-    try:
-        red = _ReducedPencil(fs.Jm, fs.Gm)
-    except EigensolveFailure:
-        return None
+    symmetric = bool(w[0] >= -10 * m * np.finfo(float).eps * np.max(np.abs(w)))
+    red = _ReducedPencil(fs.Jm, fs.Gm)
     H = np.zeros((2 * m, 2 * m))
     np.negative(red.A1t, out=H[:m, :m])
-    H[m:, :m] = sla.solve_triangular(red.L, Q * np.sqrt(np.maximum(w, 0.0)), lower=True).T
+    scale = np.sqrt(np.maximum(w, 0.0) if symmetric else np.abs(w))
+    H[m:, :m] = sla.solve_triangular(red.L, Q * scale, lower=True).T
     H[:m, m:] = H[m:, :m].T
-    return H
-
-
-def _companion_rate(fs: FormSet) -> float | None:
-    """companion_oracle's unpolished rate for any sign of E2m.  With
-    lam = theta s, s^2 A2 + s A1 + A0 (A2 = theta^2 Jm, A1 = theta Gm,
-    A0 = -E2m) has the first-companion pencil A z = s B z with
-    A = [[-A1, -A0], [I, 0]], B = diag(A2, I), z = (s v, v).  Shifting and
-    inverting about s = SHIFT turns it into the standard problem
-    C z = nu z, C = (A - SHIFT B)^-1 B, nu = 1 / (s - SHIFT), whose
-    eigenvalues Hessenberg QR finds.  The block structure needs only one
-    m x m LU solve with P = SHIFT^2 A2 + SHIFT A1 + A0: C's lower block
-    rows are X = -P^-1 [A2, A1 + SHIFT A2] and its upper ones
-    SHIFT X + [0, I].  Raises EigensolveFailure when P is singular or so
-    ill-conditioned that the solve would warn, that is when the shift is
-    (nearly) an eigenvalue.  theta sets the scale of the shift:
-    lam = -theta lies below every growing rate and near the origin, so the
-    eigenvalues closest to it, the small physical ones, get the largest
-    |nu| and the best relative accuracy.
-    """
-    m = fs.Jm.shape[0]
-    theta = _theta(fs)
-    # C's lower block rows take [A2, A1 + SHIFT A2]; its upper left is scratch
-    C = np.empty((2 * m, 2 * m))
-    A2, rhs1, scratch = C[m:, :m], C[m:, m:], C[:m, :m]
-    np.multiply(fs.Jm, theta * theta, out=A2)
-    np.multiply(fs.Gm, theta, out=rhs1)
-    P = A2 * (SHIFT * SHIFT)
-    P += np.multiply(rhs1, SHIFT, out=scratch)
-    P -= fs.E2m
-    rhs1 += np.multiply(A2, SHIFT, out=scratch)
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", sla.LinAlgWarning)
-            np.negative(sla.solve(P, C[m:], assume_a="general", overwrite_a=True), out=C[m:])
-    except (sla.LinAlgError, sla.LinAlgWarning) as exc:
-        raise EigensolveFailure(f"companion shift lam = {SHIFT * theta:g} at xi = {fs.xi:g} "
-                                f"is (nearly) an eigenvalue: {exc}") from exc
-    del P
-    np.multiply(C[m:], SHIFT, out=C[:m])
-    C[:m, m:] += np.eye(m)
-    try:
-        nu = sla.eig(C, right=False, overwrite_a=True)
-    except sla.LinAlgError as exc:
-        raise EigensolveFailure(f"companion eigensolve failed at xi = {fs.xi:g}: {exc}") from exc
-    # a singular Jm gives nu = 0, an infinite lam
-    nu = nu[np.abs(nu) > 2 * m * np.finfo(float).eps * np.max(np.abs(nu))]
-    vals = theta * (SHIFT + 1.0 / nu)
-
-    # the shifted solve leaves zero eigenvalues at about 1e-12 theta, so a
-    # rate counts as growing only above the real-part tolerance
-    real = np.abs(vals.imag) <= REAL_EIG_TOL * (1.0 + np.abs(vals.real))
-    good = real & (vals.real > REAL_EIG_TOL * theta)
-    return float(np.max(vals.real[good])) if np.any(good) else None
+    if not symmetric:
+        H[m:, :m] *= np.sign(w)[:, None]
+    return H, symmetric
 
 
 def _lattice_frequencies(band: tuple[float, float], L: float) -> list[float]:

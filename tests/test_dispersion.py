@@ -1,5 +1,4 @@
 import tracemalloc
-import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -26,7 +25,7 @@ from slabrt import (
 )
 import slabrt.dispersion
 from slabrt.cli import _scan, load_config
-from slabrt.dispersion import _companion_rate, _definite_linearization
+from slabrt.dispersion import _linearization
 from slabrt.errors import ConvergenceFailure, EigensolveFailure, EmptyBand, NonPositiveHorizon
 from slabrt.variational import _ReducedPencil
 
@@ -168,16 +167,16 @@ def test_companion_eigenvector_residual(default_mode):
 
 
 def test_companion_drops_infinite_eigenvalues(profile_up, default_config, grid32):
-    # a singular Jm gives infinite eigenvalues, zeros of the shifted and
-    # inverted problem; they must be dropped before 1/nu (a division by zero
-    # would raise under error::RuntimeWarning)
+    # a singular Jm gives infinite eigenvalues; the Jm-reduced linearization
+    # has none to drop, so it refuses the input as growth_rate does
     fs = assemble_forms(profile_up, default_config, grid32, 2.0)
     J = fs.Jm.copy()
     J[0, :] = 0.0
     J[:, 0] = 0.0
-    lam, v = companion_oracle(replace(fs, Jm=J))
-    assert np.isfinite(lam) and lam > 0.0
-    assert v @ J @ v == pytest.approx(1.0, abs=1e-10)
+    with pytest.raises(EigensolveFailure,
+                       match=r"^companion oracle at xi = 2: pencil mass matrix is not positive "
+                             r"definite"):
+        companion_oracle(replace(fs, Jm=J))
 
 
 def test_companion_none_for_dissipative_system(grid64):
@@ -186,23 +185,6 @@ def test_companion_none_for_dissipative_system(grid64):
     c = SlabConfig(mu=0.3, g=1.0, k0=0.0, k1=0.0, L=1.0)
     fs = assemble_forms(constant_profile(1.0), c, grid64, 1.5)
     assert companion_oracle(fs) is None
-
-
-@pytest.mark.parametrize("g_big, g_last", [(0.0, 0.0), (1e8, 1e-9)])
-def test_companion_rejects_shift_at_an_eigenvalue(profile_up, default_config, grid32,
-                                                  g_big, g_last):
-    # Jm = E2m = I gives theta = 1 and P(SHIFT) = -Gm: zero for Gm = 0 (the
-    # shift is an eigenvalue), else of condition 1e17 (one within 1e-9).
-    # E2m = I is positive definite, so companion_oracle itself would take
-    # the symmetric path; the companion helper is called directly.
-    fs = assemble_forms(profile_up, default_config, grid32, 2.0)
-    eye = np.eye(fs.Jm.shape[0])
-    Gm = np.diag(np.r_[np.full(eye.shape[0] - 1, g_big), g_last])
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        with pytest.raises(EigensolveFailure, match=r"^companion shift lam = -1 at xi = 2 is "):
-            _companion_rate(replace(fs, Jm=eye, Gm=Gm, E2m=eye))
-    assert not caught
 
 
 def _qz_spectrum(fs):
@@ -261,33 +243,56 @@ DEFINITE_CASES = [
 ]
 
 
-@pytest.mark.parametrize("name, params, c, xi", DEFINITE_CASES)
-def test_definite_linearization_has_the_pencil_spectrum(grid64, name, params, c, xi):
-    fs = assemble_forms(preset_profile(name, **params), c, grid64, xi)
-    H = _definite_linearization(fs)
-    assert H is not None and np.array_equal(H, H.T)
-    sym = sla.eigh(H, eigvals_only=True)
-    qz = _qz_spectrum(fs)
-    scale = np.max(np.abs(sym))
-    assert qz.size == sym.size == 2 * fs.Jm.shape[0]
-    assert np.max(np.abs(qz.imag)) <= 1e-12 * scale
-    assert np.max(np.abs(np.sort(qz.real) - sym)) <= 1e-11 * scale
-
-
-@pytest.mark.parametrize("name, params, c, xi", DEFINITE_CASES)
-def test_definite_path_matches_companion_path(grid64, monkeypatch, name, params, c, xi):
-    fs = assemble_forms(preset_profile(name, **params), c, grid64, xi)
-    lam, v = companion_oracle(fs)
-    monkeypatch.setattr(slabrt.dispersion, "_definite_linearization", lambda fs: None)
-    lam_c, v_c = companion_oracle(fs)
-    assert lam == pytest.approx(lam_c, rel=1e-10)
-    assert np.max(np.abs(v - v_c)) <= 1e-6 * np.max(np.abs(v))
-
-
 def _count_eig(monkeypatch):
     eig, calls = sla.eig, []
     monkeypatch.setattr(sla, "eig", lambda *a, **k: calls.append(1) or eig(*a, **k))
     return calls
+
+
+# cases where rho' < 0 somewhere, so E2m has a clearly negative eigenvalue
+INDEFINITE_CASES = [
+    ("linear-down", {}, SlabConfig(mu=0.5, g=1.0, k0=-1.0, k1=-0.5, L=1.0), 2.0),
+    ("linear-down", {}, INDEFINITE, 2.0),
+    ("linear-down", {}, INDEFINITE, 6.05),
+]
+
+
+@pytest.mark.parametrize("name, params, c, xi", DEFINITE_CASES + INDEFINITE_CASES)
+def test_linearization_has_the_pencil_spectrum(grid64, name, params, c, xi):
+    fs = assemble_forms(preset_profile(name, **params), c, grid64, xi)
+    H, symmetric = _linearization(fs)
+    assert symmetric == ((name, params, c, xi) in DEFINITE_CASES)
+    qz = _qz_spectrum(fs)
+    assert qz.size == 2 * fs.Jm.shape[0]
+    if symmetric:
+        assert np.array_equal(H, H.T)
+        sym = sla.eigh(H, eigvals_only=True)
+        scale = np.max(np.abs(sym))
+        assert np.max(np.abs(qz.imag)) <= 1e-12 * scale
+        assert np.max(np.abs(np.sort(qz.real) - sym)) <= 1e-11 * scale
+        return
+    vals = np.sort(sla.eig(H, right=False))
+    assert np.max(np.abs(vals - np.sort(qz))) <= 1e-12 * np.max(np.abs(vals))
+    if xi == 6.05:
+        # the growing complex pair below xi_c (Baseline: 0.3396190413 -+ 0.5162408633i)
+        for pair in (0.33962 + 0.51624j, 0.33962 - 0.51624j):
+            assert np.min(np.abs(vals - pair)) <= 1e-5
+
+
+@pytest.mark.parametrize("name, params, c, xi", DEFINITE_CASES)
+def test_definite_path_matches_companion_path(grid64, monkeypatch, name, params, c, xi):
+    # the nonsymmetric eigensolve on the same symmetric H gives the same
+    # polished rate and vector
+    fs = assemble_forms(preset_profile(name, **params), c, grid64, xi)
+    lam, v = companion_oracle(fs)
+    linearization = slabrt.dispersion._linearization
+    monkeypatch.setattr(slabrt.dispersion, "_linearization",
+                        lambda fs: (linearization(fs)[0], False))
+    calls = _count_eig(monkeypatch)
+    lam_c, v_c = companion_oracle(fs)
+    assert len(calls) == 1
+    assert lam == pytest.approx(lam_c, rel=1e-10)
+    assert np.max(np.abs(v - v_c)) <= 1e-6 * np.max(np.abs(v))
 
 
 @pytest.mark.parametrize("name, params, c, xi, companion", [
@@ -328,6 +333,18 @@ def test_symmetric_eigensolve_failure_names_frequency(profile_up, default_config
     monkeypatch.setattr(sla, "eigh", failing)
     with pytest.raises(EigensolveFailure,
                        match=r"^symmetric eigensolve failed at xi = 2: did not converge$"):
+        companion_oracle(fs)
+
+
+def test_companion_eigensolve_failure_names_frequency(profile_down, grid64, monkeypatch):
+    fs = assemble_forms(profile_down, INDEFINITE, grid64, 2.0)
+
+    def failing(*args, **kw):
+        raise sla.LinAlgError("did not converge")
+
+    monkeypatch.setattr(sla, "eig", failing)
+    with pytest.raises(EigensolveFailure,
+                       match=r"^companion eigensolve failed at xi = 2: did not converge$"):
         companion_oracle(fs)
 
 
