@@ -92,9 +92,9 @@ def growth_rate(p: DensityProfile, c: SlabConfig, grid: SpectralGrid,
     s0 = -gamma / 2.  F(s0) >= 0 there raises ConvergenceFailure rather
     than answering "stable": no mode grows faster than s0, but an
     oscillatory (complex) mode may grow on (0, s0).  The minimizer at the
-    root is the mode shape, taken from the iteration's last eigensolve when
-    the root is its point and else from one more; iters counts every
-    eigensolve.  reconstruct_mode gives phi, pi and residuals.
+    root is the mode shape, taken from the iteration's last eigensolve,
+    which is at the root; iters counts every eigensolve.  reconstruct_mode
+    gives phi, pi and residuals.
     """
     what = f"growth-rate fixed point at xi = {xi:g}"
     fs = assemble_forms(p, c, grid, xi)
@@ -119,9 +119,8 @@ def growth_rate(p: DensityProfile, c: SlabConfig, grid: SpectralGrid,
                                      f"-gamma/2 = {s0:g}, but an oscillatory (complex) "
                                      f"mode may grow on (0, {s0:g})")
         it += 1 + steps
-    solved_at, aval, u = red.solved
-    aval, psi = (aval, red.mode(u)) if solved_at == lam else red.pair(lam)
-    it += solved_at != lam  # pair's eigensolve
+    aval, u = red.solved  # the iteration ends at the point it last solved at
+    psi = red.mode(u)
     phi, pi, residuals = reconstruct_mode(fs, c, lam, psi)
     return ModeSolution(lam=lam, psi=psi, phi=phi, pi=pi,
                         residuals={"fixed_point_res": abs(aval + lam * lam), **residuals},
@@ -201,19 +200,36 @@ def companion_oracle(fs: FormSet):
     pencil's, sees the whole spectrum.  Where E2m is positive semidefinite
     to roundoff (rho' >= 0 at every node of the doubled rule) H is
     symmetric, all 2m eigenvalues are real and a symmetric eigensolve
-    finds them; elsewhere, where complex pairs can exist, a nonsymmetric
-    one does.  Returns (lam, v) with v J-normalized, or None when no real
-    eigenvalue exceeds REAL_EIG_TOL * theta, theta = sqrt(|E2m| / |Jm|).
-    Raises EigensolveFailure naming xi when Jm has no Cholesky factor or
-    an eigensolve fails.
+    takes the largest eigenpair alone, whose upper block x1 gives the
+    pencil's vector v = L^-T x1; elsewhere, where complex pairs can exist,
+    a nonsymmetric eigensolve finds every eigenvalue and v is the null
+    direction of the pencil at the largest real one.  A Rayleigh polish
+    then takes the growing root of the quadratic Rayleigh functional at v,
+    and alternates it with the null direction at the root while a root
+    moves lam by more than 1e-10 lam.  Returns (lam, v) with v
+    J-normalized, or None when no real eigenvalue exceeds
+    REAL_EIG_TOL * theta, theta = sqrt(|E2m| / |Jm|).  Raises
+    EigensolveFailure naming xi when Jm has no Cholesky factor or an
+    eigensolve fails.
     """
     try:
-        H, symmetric = _linearization(fs)
+        H, symmetric, L = _linearization(fs)
     except (sla.LinAlgError, EigensolveFailure) as exc:
         raise EigensolveFailure(f"companion oracle at xi = {fs.xi:g}: {exc}") from exc
+    m = L.shape[0]
     try:
-        vals = (sla.eigh(H, eigvals_only=True, overwrite_a=True) if symmetric
-                else sla.eig(H, right=False, overwrite_a=True))
+        if symmetric:
+            # the largest eigenpair only, its eigenvalue bisected to high
+            # relative accuracy (abstol = 2 safmin); scipy's eigh bisects to
+            # eps |H| absolute, 21 % off the rate at g = 1e-12 (linear-up, n = 32)
+            syevr = sla.get_lapack_funcs("syevr", (H,))
+            vals, X, _, _, info = syevr(H, range="I", il=2 * m, iu=2 * m, lower=1,
+                                        abstol=2 * np.finfo(float).tiny, overwrite_a=1)
+            if info != 0:
+                raise sla.LinAlgError(f"syevr info = {info}")
+            vals = vals[:1]
+        else:
+            vals = sla.eig(H, right=False, overwrite_a=True)
     except sla.LinAlgError as exc:
         kind = "symmetric" if symmetric else "companion"
         raise EigensolveFailure(f"{kind} eigensolve failed at xi = {fs.xi:g}: {exc}") from exc
@@ -222,20 +238,21 @@ def companion_oracle(fs: FormSet):
     if not np.any(good):
         return None
     lam = float(np.max(vals.real[good]))
+    v = sla.solve_triangular(L, X[:m, 0], lower=True, trans="T") if symmetric else None
 
-    # Rayleigh polish: alternate the symmetric null direction at lam with
-    # the exact growing root of the quadratic Rayleigh functional (cubic
-    # local convergence).  At the largest real root P(lam) is positive
-    # semidefinite, so its eigenvalue nearest zero is the smallest.  That
-    # null direction is the returned eigenvector, far better conditioned
-    # than a linearization's eigenvector block.
-    for _ in range(3):
-        P = lam * lam * fs.Jm + lam * fs.Gm - fs.E2m
-        v = sla.eigh(P, subset_by_index=[0, 0])[1][:, 0]
+    # Rayleigh polish (cubic local convergence).  At the largest real root
+    # P(lam) is positive semidefinite, so its eigenvalue nearest zero is the
+    # smallest and its eigenvector the null direction.  H's own vector is a
+    # better one: at n = 192 it agrees with growth_rate's mode to 1e-11,
+    # the null direction to 3e-7, and its root stops the polish.
+    for step in range(3):
+        if step or v is None:
+            P = lam * lam * fs.Jm + lam * fs.Gm - fs.E2m
+            v = sla.eigh(P, subset_by_index=[0, 0])[1][:, 0]
         lam_new = _rayleigh_root(v @ fs.Jm @ v, v @ fs.Gm @ v, v @ fs.E2m @ v)
         if lam_new is None or lam_new <= 0.0:
             break
-        done = abs(lam_new - lam) <= 1e-14 * lam
+        done = abs(lam_new - lam) <= 1e-10 * lam
         lam = float(lam_new)
         if done:
             break
@@ -247,26 +264,27 @@ def _theta(fs: FormSet) -> float:
     return np.sqrt(nE / nJ) if nE > 0 and nJ > 0 else 1.0
 
 
-def _linearization(fs: FormSet) -> tuple[np.ndarray, bool]:
-    """companion_oracle's H and whether it is symmetric.  With
+def _linearization(fs: FormSet) -> tuple[np.ndarray, bool, np.ndarray]:
+    """companion_oracle's H, whether it is symmetric, and L.  With
     E2m = Q diag(w) Q', Jm = L L', F = L^-1 Q diag(sqrt|w|) and
     S = diag(sign w), H = [[-L^-1 Gm L^-T, F], [S F', 0]] has
     det(lam I - H) = det(lam^2 Jm + lam Gm - E2m), a first companion form
-    (Tisseur & Meerbergen, SIAM Rev. 43 (2001) 235).  E2m counts as
-    positive semidefinite, S = I and H symmetric, when w[0] is at least
+    (Tisseur & Meerbergen, SIAM Rev. 43 (2001) 235), and an eigenvector
+    [x1; x2] of H gives the pencil's L^-T x1.  E2m counts as positive
+    semidefinite, S = I and H symmetric, when w[0] is at least
     -10 m eps max|w|; w is then clipped at 0."""
     m = fs.Jm.shape[0]
-    w, Q = sla.eigh(fs.E2m)
+    w, Q = sla.eigh(fs.E2m, driver="evd")
     symmetric = bool(w[0] >= -10 * m * np.finfo(float).eps * np.max(np.abs(w)))
     red = _ReducedPencil(fs.Jm, fs.Gm)
-    H = np.zeros((2 * m, 2 * m))
+    H = np.zeros((2 * m, 2 * m), order="F")
     np.negative(red.A1t, out=H[:m, :m])
     scale = np.sqrt(np.maximum(w, 0.0) if symmetric else np.abs(w))
     H[m:, :m] = sla.solve_triangular(red.L, Q * scale, lower=True).T
     H[:m, m:] = H[m:, :m].T
     if not symmetric:
         H[m:, :m] *= np.sign(w)[:, None]
-    return H, symmetric
+    return H, symmetric, red.L
 
 
 def _lattice_frequencies(band: tuple[float, float], L: float) -> list[float]:

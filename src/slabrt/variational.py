@@ -106,10 +106,10 @@ class _ReducedPencil:
     def rayleigh_coefficients(self, s: float):
         """(1, u' A1 u, u' A0 u) for the unit minimizer u at s: the coefficients
         of the Rayleigh functional s^2 + (u' A1 u) s - u' A0 u.  The solve is
-        kept as solved = (s, theta, u)."""
+        kept as solved = (theta, u)."""
         vals, vecs = sla.eigh(self._at(s), subset_by_index=[0, 0])
         u = vecs[:, 0]
-        self.solved = (s, float(vals[0]), u)
+        self.solved = (float(vals[0]), u)
         return 1.0, float(u @ self.A1t @ u), float(u @ self.A0t @ u)
 
 
@@ -122,13 +122,13 @@ def _rayleigh_fixed_point(coefficients, what: str, t0: float = 0.0):
     min-max property that root lies at or below t*, so from a start t0
     below t* the iterates rise monotonically, converge quadratically and
     need no bracket (Voss & Werner, Math. Meth. Appl. Sci. 4 (1982) 415).
-    The iteration stops once an increase is at most
-    FIXED_POINT_TOL * max(1, t), which includes the stall at the roundoff
-    floor; the test relies on the start lying below the root, since from
-    above the first step would fall and stop at a mere lower bound.
-    Returns (root, steps), steps the number of eigensolves and root the last
-    point solved at, t, if the increase is also <= FIXED_POINT_TOL * t, else
-    the next one; (None, 1) when the start is not below a root:
+    The iteration stops once the next point exceeds t by at most
+    FIXED_POINT_TOL of itself, however small the root, which includes the
+    stall at the roundoff floor; the test relies on the start lying below
+    the root, since from above the first step would fall and stop at a mere
+    lower bound.  Returns (root, steps), steps the number of eigensolves and
+    root the last point solved at, t; (None, 1) when the start is not below
+    a root:
     a t0^2 + b t0 - e >= 0, which at t0 = 0 reads e <= 0 and means no
     growing root where the functional increases on t >= 0.
     """
@@ -140,8 +140,8 @@ def _rayleigh_fixed_point(coefficients, what: str, t0: float = 0.0):
         nxt = _rayleigh_root(a, b, e)
         if nxt is None:  # only roundoff at the root can make it complex
             return t, steps
-        if nxt - t <= FIXED_POINT_TOL * max(1.0, nxt):
-            return (t if nxt - t <= FIXED_POINT_TOL * t else nxt), steps
+        if nxt - t <= FIXED_POINT_TOL * nxt:
+            return t, steps
         t = nxt
     raise ConvergenceFailure(f"{what} did not converge in {RAYLEIGH_CAP} steps")
 

@@ -70,9 +70,10 @@ def test_rejection_above_mu_c_costs_one_eigensolve(profile_down, grid64, monkeyp
 def test_growth_rate_mode_is_its_last_counted_eigensolve(profile_up, profile_down,
                                                          default_config, grid64, monkeypatch,
                                                          xi, c):
-    # the mode comes from the iteration's last eigensolve, or from one more
-    # (at xi = 0.5 the root is the step past the last point solved at);
-    # either way it is alpha's minimizer at the rate, bit for bit
+    # the mode comes from the iteration's last eigensolve, which is at the
+    # rate (at xi = 0.5 the last step rises by less than 1e-13 but by more
+    # than 1e-13 of the rate, so the iteration solves once more at its end);
+    # it is alpha's minimizer at the rate, bit for bit
     p, c = (profile_up, default_config) if c is None else (profile_down, c)
     eigh, calls = sla.eigh, []
     monkeypatch.setattr(sla, "eigh", lambda *a, **k: calls.append(1) or eigh(*a, **k))
@@ -85,12 +86,27 @@ def test_growth_rate_mode_is_its_last_counted_eigensolve(profile_up, profile_dow
 
 def test_growth_rate_at_tiny_gravity(profile_up, grid32):
     # a relative stopping test: the increase past the last point solved at
-    # is at most 1e-13 of it, however small the rate
-    c = SlabConfig(mu=0.01, g=1e-12, k0=0.0, k1=0.0, L=1.0)
+    # is at most 1e-13 of it, however small the rate.  At tiny g the rate
+    # is linear in g, and the oracle's eigenvalue keeps its relative accuracy
+    c = SlabConfig(mu=0.01, g=1.0, k0=0.0, k1=0.0, L=1.0)
+    slopes = []
+    for g in (1e-12, 1e-16, 1e-20):
+        ms = growth_rate(profile_up, replace(c, g=g), grid32, 2.0)
+        lam_hat, _ = companion_oracle(ms.forms)
+        assert abs(ms.lam - lam_hat) / lam_hat <= 1e-9
+        slopes.append(ms.lam / g)
+    assert max(slopes) - min(slopes) <= 1e-9 * slopes[0]
+    assert slopes[0] == pytest.approx(2.07937, rel=1e-5)
+
+
+@pytest.mark.parametrize("g", [1e-8, 1e-4])
+def test_oracle_at_small_gravity(profile_up, grid32, g):
+    # where the rate is far below |H|, an eigenvalue bisected only to
+    # eps |H| absolute would miss it by up to 5e-6 relative
+    c = SlabConfig(mu=0.01, g=g, k0=0.0, k1=0.0, L=1.0)
     ms = growth_rate(profile_up, c, grid32, 2.0)
     lam_hat, _ = companion_oracle(ms.forms)
     assert abs(ms.lam - lam_hat) / lam_hat <= 1e-9
-    assert growth_rate(profile_up, replace(c, g=1e-20), grid32, 2.0).lam > 0.0
 
 
 def test_default_scan_matches_oracle():
@@ -243,9 +259,25 @@ DEFINITE_CASES = [
 ]
 
 
-def _count_eig(monkeypatch):
-    eig, calls = sla.eig, []
-    monkeypatch.setattr(sla, "eig", lambda *a, **k: calls.append(1) or eig(*a, **k))
+def _count_solves(monkeypatch):
+    """Counts of the sla.eigh, sla.eig and LAPACK syevr calls made from here on."""
+    calls = {"eigh": 0, "eig": 0, "syevr": 0}
+
+    def counted(name, f):
+        def call(*a, **k):
+            calls[name] += 1
+            return f(*a, **k)
+        return call
+
+    for name in ("eigh", "eig"):
+        monkeypatch.setattr(sla, name, counted(name, getattr(sla, name)))
+    get = sla.get_lapack_funcs
+
+    def get_counted(names, *a, **k):
+        f = get(names, *a, **k)
+        return counted(names, f) if names == "syevr" else f
+
+    monkeypatch.setattr(sla, "get_lapack_funcs", get_counted)
     return calls
 
 
@@ -260,7 +292,7 @@ INDEFINITE_CASES = [
 @pytest.mark.parametrize("name, params, c, xi", DEFINITE_CASES + INDEFINITE_CASES)
 def test_linearization_has_the_pencil_spectrum(grid64, name, params, c, xi):
     fs = assemble_forms(preset_profile(name, **params), c, grid64, xi)
-    H, symmetric = _linearization(fs)
+    H, symmetric, _ = _linearization(fs)
     assert symmetric == ((name, params, c, xi) in DEFINITE_CASES)
     qz = _qz_spectrum(fs)
     assert qz.size == 2 * fs.Jm.shape[0]
@@ -286,11 +318,15 @@ def test_definite_path_matches_companion_path(grid64, monkeypatch, name, params,
     fs = assemble_forms(preset_profile(name, **params), c, grid64, xi)
     lam, v = companion_oracle(fs)
     linearization = slabrt.dispersion._linearization
-    monkeypatch.setattr(slabrt.dispersion, "_linearization",
-                        lambda fs: (linearization(fs)[0], False))
-    calls = _count_eig(monkeypatch)
+
+    def as_companion(fs):
+        H, _, L = linearization(fs)
+        return H, False, L
+
+    monkeypatch.setattr(slabrt.dispersion, "_linearization", as_companion)
+    calls = _count_solves(monkeypatch)
     lam_c, v_c = companion_oracle(fs)
-    assert len(calls) == 1
+    assert calls["eig"] == 1
     assert lam == pytest.approx(lam_c, rel=1e-10)
     assert np.max(np.abs(v - v_c)) <= 1e-6 * np.max(np.abs(v))
 
@@ -303,9 +339,29 @@ def test_definite_path_matches_companion_path(grid64, monkeypatch, name, params,
 def test_oracle_runs_the_companion_only_where_e2m_is_indefinite(grid64, monkeypatch, name,
                                                                 params, c, xi, companion):
     fs = assemble_forms(preset_profile(name, **params), c, grid64, xi)
-    calls = _count_eig(monkeypatch)
+    calls = _count_solves(monkeypatch)
     companion_oracle(fs)
-    assert len(calls) == (1 if companion else 0)
+    assert calls["eig"] == (1 if companion else 0)
+
+
+@pytest.mark.parametrize("name, params, c, xi", DEFINITE_CASES)
+def test_definite_oracle_takes_two_eigensolves(grid64, monkeypatch, name, params, c, xi):
+    # E2m's eigensolve and H's largest eigenpair; the Rayleigh root at H's
+    # own vector stops the polish, with no null-vector eigensolve
+    fs = assemble_forms(preset_profile(name, **params), c, grid64, xi)
+    calls = _count_solves(monkeypatch)
+    assert companion_oracle(fs) is not None
+    assert calls == {"eigh": 1, "eig": 0, "syevr": 1}
+
+
+def test_oracle_vector_matches_growth_rate_mode(grid64):
+    # the crosscheck physics: H's eigenvector block is the pencil's vector
+    c = SlabConfig(mu=0.02, g=1.0, k0=0.5, k1=1.0, L=1.0)
+    p = preset_profile("tanh-layer", y_c=0.5, w=0.05)
+    for xi in (1.0, 2.0, 4.0, 8.0):
+        ms = growth_rate(p, c, grid64, xi)
+        _, v = companion_oracle(ms.forms)
+        assert np.max(np.abs(v - ms.psi)) <= 1e-9 * np.max(np.abs(ms.psi))
 
 
 def test_oracle_without_gravity_form_takes_symmetric_path(grid64, monkeypatch):
@@ -315,24 +371,23 @@ def test_oracle_without_gravity_form_takes_symmetric_path(grid64, monkeypatch):
     c = SlabConfig(mu=0.3, g=1.0, k0=0.0, k1=0.0, L=1.0)
     fs = assemble_forms(constant_profile(1.0), c, grid64, 2.0)
     assert not np.any(fs.E2m)
-    calls = _count_eig(monkeypatch)
+    calls = _count_solves(monkeypatch)
     assert companion_oracle(fs) is None
-    assert not calls
+    assert calls["eig"] == 0 and calls["syevr"] == 1
 
 
 def test_symmetric_eigensolve_failure_names_frequency(profile_up, default_config, grid32,
                                                       monkeypatch):
     fs = assemble_forms(profile_up, default_config, grid32, 2.0)
-    eigh, m = sla.eigh, fs.Jm.shape[0]
+    get = sla.get_lapack_funcs
 
-    def failing(a, *args, **kw):
-        if a.shape[0] == 2 * m:
-            raise sla.LinAlgError("did not converge")
-        return eigh(a, *args, **kw)
+    def failing(names, *args, **kw):
+        f = get(names, *args, **kw)
+        return (lambda *a, **k: (*f(*a, **k)[:-1], 1)) if names == "syevr" else f
 
-    monkeypatch.setattr(sla, "eigh", failing)
+    monkeypatch.setattr(sla, "get_lapack_funcs", failing)
     with pytest.raises(EigensolveFailure,
-                       match=r"^symmetric eigensolve failed at xi = 2: did not converge$"):
+                       match=r"^symmetric eigensolve failed at xi = 2: syevr info = 1$"):
         companion_oracle(fs)
 
 

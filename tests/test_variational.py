@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -164,6 +165,17 @@ def test_critical_frequency_iteration(mu, k0, k1, n, monkeypatch):
     assert len(solves) <= 8
     assert ts[0] == 0.0 and ts == sorted(ts)
     assert ts[-1] <= t * (1.0 + 1e-9)
+
+
+def test_critical_frequency_just_below_mu_c(grid32):
+    # xi_c -> 0 as mu -> mu_c, and the relative stop test still takes the
+    # fixed point there: xi_c^2 falls linearly with mu_c - mu
+    c = SlabConfig(mu=0.02, g=1.0, k0=0.5, k1=1.0, L=1.0)
+    mu_c = critical_viscosity_closed_form(c)
+    slopes = [critical_frequency(replace(c, mu=mu_c * (1.0 - d)), grid32) ** 2 / (mu_c * d)
+              for d in (1e-4, 1e-6)]
+    assert slopes[1] == pytest.approx(slopes[0], rel=1e-3)
+    assert slopes[0] == pytest.approx(16.08, rel=1e-3)
 
 
 def test_upper_bound_constants_positive(profile_up, default_config, grid128):
