@@ -14,7 +14,6 @@ from .profiles import DensityProfile, SlabConfig
 from .variational import (
     _fix_sign,
     _rayleigh_fixed_point,
-    _rayleigh_root,
     _ReducedPencil,
     critical_viscosity_closed_form,
 )
@@ -197,19 +196,16 @@ def companion_oracle(fs: FormSet):
 
     An independent check on the variational fixed point: one dense
     eigensolve of _linearization's 2m matrix H, whose eigenvalues are the
-    pencil's, sees the whole spectrum.  Where E2m is positive semidefinite
-    to roundoff (rho' >= 0 at every node of the doubled rule) H is
-    symmetric, all 2m eigenvalues are real and a symmetric eigensolve
-    takes the largest eigenpair alone, whose upper block x1 gives the
-    pencil's vector v = L^-T x1; elsewhere, where complex pairs can exist,
-    a nonsymmetric eigensolve finds every eigenvalue and v is the null
-    direction of the pencil at the largest real one.  A Rayleigh polish
-    then takes the growing root of the quadratic Rayleigh functional at v,
-    and alternates it with the null direction at the root while a root
-    moves lam by more than 1e-10 lam.  Returns (lam, v) with v
-    J-normalized, or None when no real eigenvalue exceeds
-    REAL_EIG_TOL * theta, theta = sqrt(|E2m| / |Jm|).  Raises
-    EigensolveFailure naming xi when Jm has no Cholesky factor or an
+    pencil's, sees the whole spectrum, and the rate is H's largest real
+    eigenvalue.  Where E2m is positive semidefinite to roundoff (rho' >= 0
+    at every node of the doubled rule) H is symmetric, all 2m eigenvalues
+    are real and a symmetric eigensolve takes the largest eigenpair alone,
+    whose upper block x1 gives the pencil's vector v = L^-T x1; elsewhere,
+    where complex pairs can exist, a nonsymmetric eigensolve finds every
+    eigenvalue and v is the null direction of the pencil at the largest
+    real one.  Returns (lam, v) with v J-normalized, or None when no real
+    eigenvalue exceeds REAL_EIG_TOL * theta, theta = sqrt(|E2m| / |Jm|).
+    Raises EigensolveFailure naming xi when Jm has no Cholesky factor or an
     eigensolve fails.
     """
     try:
@@ -238,24 +234,13 @@ def companion_oracle(fs: FormSet):
     if not np.any(good):
         return None
     lam = float(np.max(vals.real[good]))
-    v = sla.solve_triangular(L, X[:m, 0], lower=True, trans="T") if symmetric else None
-
-    # Rayleigh polish (cubic local convergence).  At the largest real root
-    # P(lam) is positive semidefinite, so its eigenvalue nearest zero is the
-    # smallest and its eigenvector the null direction.  H's own vector is a
-    # better one: at n = 192 it agrees with growth_rate's mode to 1e-11,
-    # the null direction to 3e-7, and its root stops the polish.
-    for step in range(3):
-        if step or v is None:
-            P = lam * lam * fs.Jm + lam * fs.Gm - fs.E2m
-            v = sla.eigh(P, subset_by_index=[0, 0])[1][:, 0]
-        lam_new = _rayleigh_root(v @ fs.Jm @ v, v @ fs.Gm @ v, v @ fs.E2m @ v)
-        if lam_new is None or lam_new <= 0.0:
-            break
-        done = abs(lam_new - lam) <= 1e-10 * lam
-        lam = float(lam_new)
-        if done:
-            break
+    if symmetric:
+        v = sla.solve_triangular(L, X[:m, 0], lower=True, trans="T")
+    else:
+        # at the largest real root P(lam) is positive semidefinite, so its
+        # smallest eigenvector is the null direction
+        P = lam * lam * fs.Jm + lam * fs.Gm - fs.E2m
+        v = sla.eigh(P, subset_by_index=[0, 0])[1][:, 0]
     return lam, _fix_sign(v / np.sqrt(v @ fs.Jm @ v))
 
 

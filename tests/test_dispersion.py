@@ -182,9 +182,9 @@ def test_companion_eigenvector_residual(default_mode):
     assert np.linalg.norm(r) / den <= 1e-6
 
 
-def test_companion_drops_infinite_eigenvalues(profile_up, default_config, grid32):
+def test_companion_refuses_singular_mass_matrix(profile_up, default_config, grid32):
     # a singular Jm gives infinite eigenvalues; the Jm-reduced linearization
-    # has none to drop, so it refuses the input as growth_rate does
+    # needs Jm's Cholesky factor, so it refuses the input as growth_rate does
     fs = assemble_forms(profile_up, default_config, grid32, 2.0)
     J = fs.Jm.copy()
     J[0, :] = 0.0
@@ -314,7 +314,7 @@ def test_linearization_has_the_pencil_spectrum(grid64, name, params, c, xi):
 @pytest.mark.parametrize("name, params, c, xi", DEFINITE_CASES)
 def test_definite_path_matches_companion_path(grid64, monkeypatch, name, params, c, xi):
     # the nonsymmetric eigensolve on the same symmetric H gives the same
-    # polished rate and vector
+    # rate, and the null direction at it the same vector
     fs = assemble_forms(preset_profile(name, **params), c, grid64, xi)
     lam, v = companion_oracle(fs)
     linearization = slabrt.dispersion._linearization
@@ -346,20 +346,41 @@ def test_oracle_runs_the_companion_only_where_e2m_is_indefinite(grid64, monkeypa
 
 @pytest.mark.parametrize("name, params, c, xi", DEFINITE_CASES)
 def test_definite_oracle_takes_two_eigensolves(grid64, monkeypatch, name, params, c, xi):
-    # E2m's eigensolve and H's largest eigenpair; the Rayleigh root at H's
-    # own vector stops the polish, with no null-vector eigensolve
+    # E2m's eigensolve and H's largest eigenpair, whose vector block is the
+    # pencil's vector: no null-vector eigensolve
     fs = assemble_forms(preset_profile(name, **params), c, grid64, xi)
     calls = _count_solves(monkeypatch)
     assert companion_oracle(fs) is not None
     assert calls == {"eigh": 1, "eig": 0, "syevr": 1}
 
 
-def test_oracle_vector_matches_growth_rate_mode(grid64):
-    # the crosscheck physics: H's eigenvector block is the pencil's vector
-    c = SlabConfig(mu=0.02, g=1.0, k0=0.5, k1=1.0, L=1.0)
-    p = preset_profile("tanh-layer", y_c=0.5, w=0.05)
-    for xi in (1.0, 2.0, 4.0, 8.0):
-        ms = growth_rate(p, c, grid64, xi)
+@pytest.mark.parametrize("name, params, c, xi, n, counts", [
+    # the definite path at a finer grid: still E2m's eigh and H's syevr
+    ("linear-up", {}, SlabConfig(mu=0.01, g=1.0, k0=0.0, k1=0.0, L=1.0), 1.0, 256,
+     {"eigh": 1, "eig": 0, "syevr": 1}),
+    # the geev path: E2m's eigh and H's eigenvalues, then the null vector's
+    # eigh where a real root grows (None at the stable linear-down and at
+    # xi = 6.05, whose growing pair is complex)
+    (*INDEFINITE_CASES[0], 64, {"eigh": 1, "eig": 1, "syevr": 0}),
+    (*INDEFINITE_CASES[1], 64, {"eigh": 2, "eig": 1, "syevr": 0}),
+    (*INDEFINITE_CASES[2], 64, {"eigh": 1, "eig": 1, "syevr": 0}),
+])
+def test_oracle_eigensolve_counts(monkeypatch, name, params, c, xi, n, counts):
+    fs = assemble_forms(preset_profile(name, **params), c, build_grid(n), xi)
+    calls = _count_solves(monkeypatch)
+    companion_oracle(fs)
+    assert calls == counts
+
+
+def test_oracle_vector_matches_growth_rate_mode(profile_up, default_config, grid64):
+    # H's eigenvector block is the pencil's vector:
+    # the crosscheck physics, and linear-up on a fine grid
+    crosscheck = (preset_profile("tanh-layer", y_c=0.5, w=0.05),
+                  SlabConfig(mu=0.02, g=1.0, k0=0.5, k1=1.0, L=1.0))
+    cases = [(*crosscheck, grid64, xi) for xi in (1.0, 2.0, 4.0, 8.0)]
+    cases.append((profile_up, default_config, build_grid(256), 1.0))
+    for p, c, grid, xi in cases:
+        ms = growth_rate(p, c, grid, xi)
         _, v = companion_oracle(ms.forms)
         assert np.max(np.abs(v - ms.psi)) <= 1e-9 * np.max(np.abs(ms.psi))
 
@@ -512,7 +533,8 @@ def test_growth_rate_expands_bracket_below_xi_c(grid64, xi):
 
 
 @pytest.mark.parametrize("slip,n,xi", [(False, 64, 0.05), (False, 64, 2.0), (False, 64, 30.0),
-                                       (True, 192, 0.5), (True, 192, 8.0), (True, 192, 20.0)])
+                                       (True, 192, 0.5), (True, 192, 8.0), (True, 192, 20.0),
+                                       (False, 512, 2.0)])
 def test_growth_rate_iteration_matches_oracle(profile_up, default_config, slip, n, xi):
     p, c = (preset_profile("tanh-layer"), SLIP_BELOW_XI_C) if slip else (profile_up, default_config)
     ms = growth_rate(p, c, build_grid(n), xi)
