@@ -8,6 +8,7 @@ sorted by key.  Exit codes: 0 success, 2 invalid input, 3 no growing mode,
 
 import argparse
 import configparser
+import functools
 import json
 import math
 import os
@@ -409,6 +410,8 @@ def cmd_escape(cfg: RunConfig) -> int:
 COMMANDS = ("check", "critical", "dispersion", "mode", "evolve", "escape")
 
 
+# built once per process: parse_args leaves the parser unchanged
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="slab-rt",
                                  description="Rayleigh-Taylor growth rates in a "

@@ -1,6 +1,7 @@
 """Growth-rate fixed point, quadratic-pencil oracle, mode reconstruction,
 band/lattice scans and the escape-time formula."""
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -24,24 +25,41 @@ REAL_EIG_TOL = 1e-8
 
 @dataclass(frozen=True, eq=False)
 class ModeSolution:
-    """A growing normal mode at frequency forms.xi.
+    """A growing normal mode of slab at frequency forms.xi.
 
-    psi holds interior node values normalized to J(psi) = 1; phi and pi are
-    full-grid values from reconstruct_mode.  residuals carries the
-    fixed-point, divergence, momentum, fourth-order-equation and natural
-    boundary-condition diagnostics.
+    psi holds interior node values normalized to J(psi) = 1, and
+    fixed_point_res = |alpha(lam) + lam^2| at psi.  phi, pi and residuals
+    are built by one reconstruct_mode call on the first read of any of
+    them: phi and pi are full-grid values, and residuals carries the
+    fixed-point residual first, then the divergence, momentum,
+    fourth-order-equation and natural boundary-condition diagnostics.
     """
 
     lam: float
     psi: np.ndarray
-    phi: np.ndarray
-    pi: np.ndarray
-    residuals: dict
+    fixed_point_res: float
     iters: int
     forms: FormSet
+    slab: SlabConfig
 
     def psi_full(self) -> np.ndarray:
         return np.pad(self.psi, 1)
+
+    @functools.cached_property
+    def _reconstruction(self) -> tuple[np.ndarray, np.ndarray, dict]:
+        return reconstruct_mode(self.forms, self.slab, self.lam, self.psi)
+
+    @functools.cached_property
+    def phi(self) -> np.ndarray:
+        return self._reconstruction[0]
+
+    @functools.cached_property
+    def pi(self) -> np.ndarray:
+        return self._reconstruction[1]
+
+    @functools.cached_property
+    def residuals(self) -> dict:
+        return {"fixed_point_res": self.fixed_point_res, **self._reconstruction[2]}
 
 
 @dataclass(frozen=True)
@@ -92,8 +110,9 @@ def growth_rate(p: DensityProfile, c: SlabConfig, grid: SpectralGrid,
     than answering "stable": no mode grows faster than s0, but an
     oscillatory (complex) mode may grow on (0, s0).  The minimizer at the
     root is the mode shape, taken from the iteration's last eigensolve,
-    which is at the root; iters counts every eigensolve.  reconstruct_mode
-    gives phi, pi and residuals.
+    which is at the root; iters counts every eigensolve.  phi, pi and
+    residuals are reconstructed on first read (see ModeSolution), so a
+    caller that keeps only the rate pays for no reconstruction.
     """
     what = f"growth-rate fixed point at xi = {xi:g}"
     fs = assemble_forms(p, c, grid, xi)
@@ -119,11 +138,8 @@ def growth_rate(p: DensityProfile, c: SlabConfig, grid: SpectralGrid,
                                      f"mode may grow on (0, {s0:g})")
         it += 1 + steps
     aval, u = red.solved  # the iteration ends at the point it last solved at
-    psi = red.mode(u)
-    phi, pi, residuals = reconstruct_mode(fs, c, lam, psi)
-    return ModeSolution(lam=lam, psi=psi, phi=phi, pi=pi,
-                        residuals={"fixed_point_res": abs(aval + lam * lam), **residuals},
-                        iters=it, forms=fs)
+    return ModeSolution(lam=lam, psi=red.mode(u), fixed_point_res=abs(aval + lam * lam),
+                        iters=it, forms=fs, slab=c)
 
 
 def _wnorm(w: np.ndarray, f: np.ndarray) -> float:
@@ -306,7 +322,7 @@ def scan_band(p: DensityProfile, c: SlabConfig, grid: SpectralGrid,
     for x in all_xis:
         m = growth_rate(p, c, grid, x)
         if m is not None:
-            growing[x] = DispersionPoint(x, m.lam, m.residuals["fixed_point_res"], m.iters)
+            growing[x] = DispersionPoint(x, m.lam, m.fixed_point_res, m.iters)
     pos = list(growing.values())
     mirrored = [DispersionPoint(-pt.xi, pt.lam, pt.alpha_residual, pt.iters)
                 for pt in reversed(pos)]

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from slabrt import build_grid, growth_rate
+import slabrt.dispersion
 from slabrt.cli import load_config, main
 from schema_check import validate_file
 
@@ -310,8 +311,13 @@ def test_mode_unconverged_exit_code(unstable_cfg, tmp_path, capsys, monkeypatch)
     assert "growth-rate fixed point at xi = 2 did not converge" in capsys.readouterr().err
 
 
-def test_mode_requires_xi(unstable_cfg):
+def test_mode_requires_xi(unstable_cfg, tmp_path, capsys):
+    # the parser is built once per process: an earlier --xi must not carry over
+    assert main(["evolve", "--config", unstable_cfg, "--out", str(tmp_path / "ev"),
+                 "--xi", "2"]) == 0
+    capsys.readouterr()
     assert main(["mode", "--config", unstable_cfg]) == 2
+    assert capsys.readouterr().err == "error: mode requires --xi\n"
 
 
 def test_evolve_outputs(unstable_cfg, tmp_path):
@@ -384,6 +390,18 @@ def test_escape_solves_only_the_lattice(unstable_cfg, tmp_path, monkeypatch):
     assert main(["escape", "--config", unstable_cfg, "--out", str(tmp_path / "esc"),
                  "--epsilon", "0.1", "--delta", "1e-6", "--m0", "1"]) == 0
     assert calls == [1.0, 2.0, 3.0, 4.0]
+
+
+@pytest.mark.parametrize("command, reconstructions", [("dispersion", 0), ("escape", 0),
+                                                       ("mode", 1)])
+def test_only_mode_reconstructs(unstable_cfg, tmp_path, monkeypatch, command, reconstructions):
+    # the scans keep rates only, so no mode's phi, pi or residuals are built
+    built, reconstruct = [], slabrt.dispersion.reconstruct_mode
+    monkeypatch.setattr(slabrt.dispersion, "reconstruct_mode",
+                        lambda *args: built.append(1) or reconstruct(*args))
+    assert main([command, "--config", unstable_cfg, "--out", str(tmp_path / "o"), "--xi", "2",
+                 "--epsilon", "0.1", "--delta", "1e-6", "--m0", "1"]) == 0
+    assert len(built) == reconstructions
 
 
 @pytest.mark.parametrize("command", ["critical", "dispersion", "escape"])

@@ -508,6 +508,46 @@ def test_natural_bc_residual_decreases_while_underresolved(profile_up, default_c
     assert res[32][1] < res[16][1]
 
 
+def _count_reconstructions(monkeypatch) -> list:
+    """Frequencies of the calls made to dispersion.reconstruct_mode, the
+    module attribute a tracer wraps."""
+    calls, reconstruct = [], slabrt.dispersion.reconstruct_mode
+
+    def counted(fs, c, lam, psi):
+        calls.append(fs.xi)
+        return reconstruct(fs, c, lam, psi)
+
+    monkeypatch.setattr(slabrt.dispersion, "reconstruct_mode", counted)
+    return calls
+
+
+def test_mode_fields_reconstruct_once_on_first_read(profile_up, default_config, grid64,
+                                                    monkeypatch):
+    built = _count_reconstructions(monkeypatch)
+    ms = growth_rate(profile_up, default_config, grid64, 2.0)
+    assert built == []
+    first, second = [(ms.phi, ms.pi, ms.residuals) for _ in range(2)]
+    assert built == [2.0]
+    assert all(a is b for a, b in zip(first, second))
+
+
+@pytest.mark.parametrize("n", [32, 64])
+@pytest.mark.parametrize("physics", ["default", "crosscheck-slip"])
+def test_lazy_mode_fields_equal_explicit_reconstruction(profile_up, default_config,
+                                                        physics, n):
+    # fixed_point_res is the residual of alpha's minimizer at the rate
+    p, c = ((profile_up, default_config) if physics == "default" else
+            (preset_profile("tanh-layer", y_c=0.5, w=0.05), SLIP_BELOW_XI_C))
+    grid = build_grid(n)
+    for xi in (1.0, 2.0, 4.0, 8.0):
+        ms = growth_rate(p, c, grid, xi)
+        phi, pi, res = reconstruct_mode(ms.forms, c, ms.lam, ms.psi)
+        a, _ = alpha(ms.forms, ms.lam)
+        assert ms.residuals == {"fixed_point_res": abs(a + ms.lam * ms.lam), **res}
+        assert next(iter(ms.residuals)) == "fixed_point_res"
+        assert np.array_equal(ms.phi, phi) and np.array_equal(ms.pi, pi)
+
+
 def test_slip_config_mode(profile_up, grid128):
     # generic slip configuration in its valid regime (mu above critical)
     c = SlabConfig(mu=0.5, g=1.0, k0=1.0, k1=0.5, L=1.0)
@@ -562,6 +602,37 @@ def test_scan_keeps_points_not_modes(profile_up, default_config, grid64):
         tracemalloc.stop()
     assert len(res.samples) == 2 * 49
     assert peak <= 2 * 2**20
+
+
+@pytest.mark.parametrize("physics", ["default", "indefinite-restart"])
+def test_scan_points_are_growth_rate_results(profile_up, profile_down, default_config,
+                                             grid32, grid64, monkeypatch, physics):
+    # one call per frequency through dispersion.growth_rate, the module
+    # attribute a tracer wraps, and each point is that call's (lam,
+    # fixed_point_res, iters) bit for bit; the scan reads no phi, pi or
+    # residuals, so it reconstructs no mode
+    p, c, grid, band = ((profile_up, default_config, grid64, (0.0, 10.0))
+                        if physics == "default" else
+                        (profile_down, INDEFINITE, grid32, (0.5, 5.9)))
+    built, modes = _count_reconstructions(monkeypatch), {}
+
+    def counted(p, c, grid, xi):
+        assert xi not in modes
+        modes[xi] = growth_rate(p, c, grid, xi)
+        return modes[xi]
+
+    monkeypatch.setattr(slabrt.dispersion, "growth_rate", counted)
+    res = scan_band(p, c, grid, band, 8)
+    assert built == []
+    pos = [pt for pt in res.samples if pt.xi > 0]
+    assert [pt.xi for pt in pos] == sorted(modes) and all(modes.values())
+    for pt in pos:
+        ms = modes[pt.xi]
+        assert (pt.lam, pt.alpha_residual, pt.iters) == (ms.lam, ms.fixed_point_res, ms.iters)
+    if physics == "indefinite-restart":
+        # F(0) = alpha(0) >= 0 everywhere, so every rate, and its iters,
+        # includes the gamma eigensolve and the restart at -gamma / 2
+        assert all(alpha(ms.forms, 0.0)[0] >= 0.0 for ms in modes.values())
 
 
 def test_growth_rate_step_cap_names_stage_and_frequency(profile_up, default_config, grid64,
