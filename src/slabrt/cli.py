@@ -161,7 +161,10 @@ def _write_text(path: str, text: str):
 
 
 def _write_json(path: str, obj) -> str:
-    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    try:  # NaN and Infinity are not JSON
+        text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise ValueError(f"{path} not written: {exc}") from None
     _write_text(path, text)
     return text
 

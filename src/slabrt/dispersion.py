@@ -146,15 +146,16 @@ def _wnorm(w: np.ndarray, f: np.ndarray) -> float:
     return float(np.sqrt(w @ (f * f)))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def reconstruct_mode(fs: FormSet, c: SlabConfig, lam: float,
                      psi: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict]:
     """phi = -psi'/xi, pi and the residuals of the mode (lam, psi) at fs.xi.
 
     The horizontal velocity amplitude and the pressure follow from the
     divergence constraint and the horizontal momentum balance, so both are
-    obtained by differentiating psi.  Residual diagnostics: divergence
-    (machine zero by construction), both momentum components, the
-    fourth-order equation, and the natural boundary conditions.
+    obtained by differentiating psi.  Residual diagnostics, inf or NaN where
+    a norm overflows: divergence (machine zero by construction), both
+    momentum components, the fourth-order equation and the natural BCs.
     """
     g = fs.grid
     xi = fs.xi
@@ -216,19 +217,19 @@ def companion_oracle(fs: FormSet):
     eigenvalue.  Where E2m is positive semidefinite to roundoff (rho' >= 0
     at every node of the doubled rule) H is symmetric, all 2m eigenvalues
     are real and a symmetric eigensolve takes the largest eigenpair alone,
-    whose upper block x1 gives the pencil's vector v = L^-T x1; elsewhere,
-    where complex pairs can exist, a nonsymmetric eigensolve finds every
-    eigenvalue and v is the null direction of the pencil at the largest
-    real one.  Returns (lam, v) with v J-normalized, or None when no real
-    eigenvalue exceeds REAL_EIG_TOL * theta, theta = sqrt(|E2m| / |Jm|).
-    Raises EigensolveFailure naming xi when Jm has no Cholesky factor or an
-    eigensolve fails.
+    whose upper block x1 gives the pencil's vector v = L^-T x1, the
+    reduction's mode; elsewhere, where complex pairs can exist, a
+    nonsymmetric eigensolve finds every eigenvalue and v is the null
+    direction of the pencil at the largest real one.  Returns (lam, v) with
+    v J-normalized, or None when no real eigenvalue exceeds
+    REAL_EIG_TOL * theta, theta = sqrt(|E2m| / |Jm|).  Raises EigensolveFailure
+    naming xi when Jm has no Cholesky factor or an eigensolve fails.
     """
     try:
-        H, symmetric, L = _linearization(fs)
+        H, symmetric, red = _linearization(fs)
     except (sla.LinAlgError, EigensolveFailure) as exc:
         raise EigensolveFailure(f"companion oracle at xi = {fs.xi:g}: {exc}") from exc
-    m = L.shape[0]
+    m = red.L.shape[0]
     try:
         if symmetric:
             # the largest eigenpair only, its eigenvalue bisected to high
@@ -246,34 +247,30 @@ def companion_oracle(fs: FormSet):
         kind = "symmetric" if symmetric else "companion"
         raise EigensolveFailure(f"{kind} eigensolve failed at xi = {fs.xi:g}: {exc}") from exc
     real = np.abs(vals.imag) <= REAL_EIG_TOL * (1.0 + np.abs(vals.real))
-    good = real & (vals.real > REAL_EIG_TOL * _theta(fs))
+    nJ, nE = np.linalg.norm(fs.Jm), np.linalg.norm(fs.E2m)
+    theta = np.sqrt(nE / nJ) if nE > 0 and nJ > 0 else 1.0
+    good = real & (vals.real > REAL_EIG_TOL * theta)
     if not np.any(good):
         return None
     lam = float(np.max(vals.real[good]))
     if symmetric:
-        v = sla.solve_triangular(L, X[:m, 0], lower=True, trans="T")
-    else:
-        # at the largest real root P(lam) is positive semidefinite, so its
-        # smallest eigenvector is the null direction
-        P = lam * lam * fs.Jm + lam * fs.Gm - fs.E2m
-        v = sla.eigh(P, subset_by_index=[0, 0])[1][:, 0]
+        return lam, red.mode(X[:m, 0])
+    # at the largest real root P(lam) is positive semidefinite, so its
+    # smallest eigenvector is the null direction
+    P = lam * lam * fs.Jm + lam * fs.Gm - fs.E2m
+    v = sla.eigh(P, subset_by_index=[0, 0])[1][:, 0]
     return lam, _fix_sign(v / np.sqrt(v @ fs.Jm @ v))
 
 
-def _theta(fs: FormSet) -> float:
-    nJ, nE = np.linalg.norm(fs.Jm), np.linalg.norm(fs.E2m)
-    return np.sqrt(nE / nJ) if nE > 0 and nJ > 0 else 1.0
-
-
-def _linearization(fs: FormSet) -> tuple[np.ndarray, bool, np.ndarray]:
-    """companion_oracle's H, whether it is symmetric, and L.  With
-    E2m = Q diag(w) Q', Jm = L L', F = L^-1 Q diag(sqrt|w|) and
-    S = diag(sign w), H = [[-L^-1 Gm L^-T, F], [S F', 0]] has
+def _linearization(fs: FormSet) -> tuple[np.ndarray, bool, _ReducedPencil]:
+    """companion_oracle's H, whether it is symmetric, and the reduction of
+    (Jm, Gm).  With E2m = Q diag(w) Q', Jm = L L', F = L^-1 Q diag(sqrt|w|)
+    and S = diag(sign w), H = [[-L^-1 Gm L^-T, F], [S F', 0]] has
     det(lam I - H) = det(lam^2 Jm + lam Gm - E2m), a first companion form
     (Tisseur & Meerbergen, SIAM Rev. 43 (2001) 235), and an eigenvector
-    [x1; x2] of H gives the pencil's L^-T x1.  E2m counts as positive
-    semidefinite, S = I and H symmetric, when w[0] is at least
-    -10 m eps max|w|; w is then clipped at 0."""
+    [x1; x2] of H gives the pencil's L^-T x1, the reduction's mode of x1.
+    E2m counts as positive semidefinite, S = I and H symmetric, when w[0]
+    is at least -10 m eps max|w|; w is then clipped at 0."""
     m = fs.Jm.shape[0]
     w, Q = sla.eigh(fs.E2m, driver="evd")
     symmetric = bool(w[0] >= -10 * m * np.finfo(float).eps * np.max(np.abs(w)))
@@ -285,7 +282,7 @@ def _linearization(fs: FormSet) -> tuple[np.ndarray, bool, np.ndarray]:
     H[:m, m:] = H[m:, :m].T
     if not symmetric:
         H[m:, :m] *= np.sign(w)[:, None]
-    return H, symmetric, red.L
+    return H, symmetric, red
 
 
 def _lattice_frequencies(band: tuple[float, float], L: float) -> list[float]:

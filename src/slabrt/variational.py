@@ -92,7 +92,7 @@ class _ReducedPencil:
         return self.A1t if self.A0t is None else s * self.A1t - self.A0t
 
     def mode(self, u: np.ndarray) -> np.ndarray:
-        """Eigenvector L^{-T} u of a unit reduced one u, B-normalized and signed by _fix_sign."""
+        """Eigenvector L^{-T} u of a reduced one u, B-normalized and signed by _fix_sign."""
         v = sla.solve_triangular(self.L, u, lower=True, trans="T")
         return _fix_sign(v / np.sqrt(v @ self.B @ v))
 
@@ -128,9 +128,9 @@ def _rayleigh_fixed_point(coefficients, what: str, t0: float = 0.0):
     the root, since from above the first step would fall and stop at a mere
     lower bound.  Returns (root, steps), steps the number of eigensolves and
     root the last point solved at, t; (None, 1) when the start is not below
-    a root:
-    a t0^2 + b t0 - e >= 0, which at t0 = 0 reads e <= 0 and means no
-    growing root where the functional increases on t >= 0.
+    a root: a t0^2 + b t0 - e >= 0, which at t0 = 0 reads e <= 0 and means
+    no growing root where the functional increases on t >= 0.  A next point
+    that over- or underflows raises ConvergenceFailure, not a false stop.
     """
     t = t0
     for steps in range(1, RAYLEIGH_CAP + 1):
@@ -140,6 +140,8 @@ def _rayleigh_fixed_point(coefficients, what: str, t0: float = 0.0):
         nxt = _rayleigh_root(a, b, e)
         if nxt is None:  # only roundoff at the root can make it complex
             return t, steps
+        if not 0.0 < nxt < math.inf:  # b * b overflowed, or the root underflowed
+            raise ConvergenceFailure(f"{what}: the Rayleigh root over- or underflows to {nxt:g}")
         if nxt - t <= FIXED_POINT_TOL * nxt:
             return t, steps
         t = nxt

@@ -846,3 +846,44 @@ def test_preset_flag_replaces_table_and_file_preset(tmp_path):
     cfg.write_text("[profile]\ncsv = missing.csv\npreset = exp\n[grid]\nn = 32\n")
     assert main(["mode", "--config", str(cfg), "--out", str(tmp_path / "o"), "--xi", "2",
                  "--preset", "linear-up"]) == 0
+
+
+def _strict_json(text):
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("value", ["1e-300", "1e-150", "1e150", "1e300"])
+@pytest.mark.parametrize("flag", ["--mu", "--g", "--k0", "--k1", "--xi"])
+@pytest.mark.parametrize("command", ["mode", "evolve"])
+def test_scale_sweep_exits_cleanly(tmp_path, command, flag, value):
+    # a parameter at either end of the float range ends in a documented exit
+    # code, never in a zero rate or a NaN or Infinity in an output file
+    out = tmp_path / "o"
+    code = main([command, "--config", str(CONFIGS / "default.ini"), "--out", str(out),
+                 "--n", "16", "--xi", "2", flag, value])
+    assert code in (0, 2, 3, 4)
+    for path in out.glob("*.json"):
+        payload = _strict_json(path.read_text())
+        if path.name == "residuals.json":
+            assert payload["lambda"] > 0.0
+
+
+@pytest.mark.parametrize("command", ["mode", "evolve"])
+def test_overflowing_rayleigh_root_exits_4(tmp_path, capsys, command):
+    # b * b overflows in the first Rayleigh step: no rate, rather than lambda = 0
+    assert main([command, "--config", str(CONFIGS / "default.ini"), "--out",
+                 str(tmp_path / "o"), "--n", "16", "--xi", "2", "--k0", "1e300"]) == 4
+    assert capsys.readouterr().err == ("error: growth-rate fixed point at xi = 2: the Rayleigh "
+                                       "root over- or underflows to inf\n")
+
+
+def test_non_finite_residual_exits_2_writing_no_json(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert main(["mode", "--config", str(CONFIGS / "default.ini"), "--out", str(out),
+                 "--n", "16", "--xi", "2", "--g", "1e300"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {out / 'residuals.json'} not written: ")
+    assert err.count("\n") == 1
+    assert not list(out.glob("*.json"))

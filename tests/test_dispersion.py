@@ -32,6 +32,19 @@ from slabrt.variational import _ReducedPencil
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
+@pytest.mark.parametrize("c", [
+    SlabConfig(mu=0.01, g=1.0, k0=1e160, k1=0.0, L=1.0),  # rate about 1.6e164
+    SlabConfig(mu=1e160, g=1.0, k0=0.0, k1=0.0, L=1.0),  # rate about 2.0794e-162
+    SlabConfig(mu=1e8, g=1e-316, k0=0.0, k1=0.0, L=1.0),  # the root underflows
+])
+def test_growth_rate_out_of_float_range_raises(profile_up, grid32, c):
+    # the Rayleigh root over- or underflows at the first step: no rate,
+    # rather than lambda = 0
+    with pytest.raises(ConvergenceFailure, match=r"^growth-rate fixed point at xi = 2: "
+                                                 r"the Rayleigh root over- or underflows to "):
+        growth_rate(profile_up, c, grid32, 2.0)
+
+
 def test_stable_profile_has_no_growing_mode(profile_down, grid64):
     c = SlabConfig(mu=0.5, g=1.0, k0=0.0, k1=0.0, L=1.0)
     for xi in (0.5, 2.0, 5.0):
@@ -320,8 +333,8 @@ def test_definite_path_matches_companion_path(grid64, monkeypatch, name, params,
     linearization = slabrt.dispersion._linearization
 
     def as_companion(fs):
-        H, _, L = linearization(fs)
-        return H, False, L
+        H, _, red = linearization(fs)
+        return H, False, red
 
     monkeypatch.setattr(slabrt.dispersion, "_linearization", as_companion)
     calls = _count_solves(monkeypatch)

@@ -21,7 +21,13 @@ from slabrt import (
     preset_profile,
     upper_bound_constants,
 )
-from slabrt.errors import EigensolveFailure, NoRTPoint, NoSignChange, ZeroFrequency
+from slabrt.errors import (
+    ConvergenceFailure,
+    EigensolveFailure,
+    NoRTPoint,
+    NoSignChange,
+    ZeroFrequency,
+)
 from slabrt.forms import curvature_matrix, gradient_matrix, mass_matrix, slope_traces
 from slabrt.variational import (
     _bump_center,
@@ -405,3 +411,12 @@ def test_rayleigh_fixed_point_from_a_later_start():
     root, _ = _rayleigh_fixed_point(red.rayleigh_coefficients, "test root", 2.0)
     assert root == pytest.approx(2.0 + np.sqrt(3.0), rel=1e-15)
     assert _rayleigh_fixed_point(red.rayleigh_coefficients, "test root", 4.0) == (None, 1)
+
+
+@pytest.mark.parametrize("b", [1e200, -1e200])
+def test_rayleigh_fixed_point_rejects_an_overflowing_root(b):
+    # b * b overflows, so the root comes out 0 (b > 0) or inf (b < 0); at
+    # the start t = 0 either would read as convergence to a zero rate
+    with pytest.raises(ConvergenceFailure,
+                       match=r"^test root: the Rayleigh root over- or underflows to (0|inf)$"):
+        _rayleigh_fixed_point(lambda t: (1.0, b, 1.0), "test root")
