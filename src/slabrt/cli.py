@@ -323,13 +323,13 @@ def cmd_mode(cfg: RunConfig) -> int:
     if ms is None:
         print(f"no growing mode at xi = {cfg.xi:g}", file=sys.stderr)
         return EXIT_NO_GROWING_MODE
+    payload = dict(ms.residuals)
+    payload.update({"lambda": ms.lam, "xi": ms.forms.xi, "iters": ms.iters})
+    _write_json(os.path.join(cfg.out_dir, "residuals.json"), payload)  # before mode.csv: a refusal writes nothing
     psi_f = ms.psi_full()
     rows = [(float(y), float(ps), float(ph), float(pv))
             for y, ps, ph, pv in zip(grid.nodes, psi_f, ms.phi, ms.pi)]
     _write_csv(os.path.join(cfg.out_dir, "mode.csv"), ["y", "psi", "phi", "pi"], rows)
-    payload = dict(ms.residuals)
-    payload.update({"lambda": ms.lam, "xi": ms.forms.xi, "iters": ms.iters})
-    _write_json(os.path.join(cfg.out_dir, "residuals.json"), payload)
     if "svg" in cfg.formats:
         y = grid.nodes
         _svg_plot(os.path.join(cfg.out_dir, "mode.svg"),

@@ -120,15 +120,12 @@ def growth_rate(p: DensityProfile, c: SlabConfig, grid: SpectralGrid,
         red = _ReducedPencil(fs.Jm, fs.Gm, fs.E2m)
     except EigensolveFailure as exc:
         raise EigensolveFailure(f"{what}: {exc}") from exc
-    # the first solve, at s = 0, also gives alpha(0) = -e for the bound below
-    at0 = red.rayleigh_coefficients(0.0)
-    lam, it = _rayleigh_fixed_point(
-        lambda s: at0 if s == 0.0 else red.rayleigh_coefficients(s), what)
+    lam, it = _rayleigh_fixed_point(red.rayleigh_coefficients, what)
     if lam is None:
         if c.mu >= critical_viscosity_closed_form(c):
             return None
         gamma = float(sla.eigh(red.A1t, eigvals_only=True, subset_by_index=[0, 0])[0])
-        if gamma >= 0.0 or gamma * gamma / 4.0 < -at0[2]:
+        if gamma >= 0.0 or gamma * gamma / 4.0 < red.solved[0]:  # alpha(0), its one solve
             return None
         s0 = -0.5 * gamma
         lam, steps = _rayleigh_fixed_point(red.rayleigh_coefficients, what, s0)
@@ -143,7 +140,11 @@ def growth_rate(p: DensityProfile, c: SlabConfig, grid: SpectralGrid,
 
 
 def _wnorm(w: np.ndarray, f: np.ndarray) -> float:
-    return float(np.sqrt(w @ (f * f)))
+    """sqrt(w' f^2) with f scaled by 2^-e ~ 1 / max|f| first, which is exact, so no
+    square overflows and a norm whose squares stay normal keeps every bit."""
+    e = int(np.frexp(np.max(np.abs(f)))[1])
+    fs = np.ldexp(f, -e)
+    return float(np.ldexp(np.sqrt(w @ (fs * fs)), e))
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -314,7 +315,7 @@ def scan_band(p: DensityProfile, c: SlabConfig, grid: SpectralGrid,
     uniform = [a + (b - a) * (i + 1) / (n_samples + 1) for i in range(n_samples)]
     all_xis = sorted(set(uniform) | set(lattice_xis))
 
-    # keep only each rate's point: a mode holds its FormSet (five m x m matrices)
+    # keep only each rate's point: a mode holds its FormSet (three m x m matrices)
     growing = {}
     for x in all_xis:
         m = growth_rate(p, c, grid, x)

@@ -26,21 +26,18 @@ from .profiles import DensityProfile, SlabConfig
 
 @dataclass(frozen=True, eq=False)
 class FormSet:
-    """Symmetric interior matrices of the five quadratic forms at frequency xi.
+    """Symmetric interior matrices of the quadratic pencil at frequency xi.
 
     For an interior vector v representing psi:
-        v' E0m v = int mu |psi''|^2 - k1 |psi'(1)|^2 - k0 |psi'(0)|^2
-        v' E1m v = mu int (2 |psi'|^2 + xi^2 psi^2)
         v' E2m v = g xi^2 int rho' psi^2
+        v' Gm  v = v' E0 v + xi^2 mu int (2 |psi'|^2 + xi^2 psi^2)
         v' Jm  v = int rho (xi^2 psi^2 + |psi'|^2)
-        Gm = E0m + xi^2 E1m
+    with E0 the xi-independent dissipation form of _dissipation_matrix.
     slope_traces(grid) maps interior values to psi'(0) / psi'(1).
     The grid and rho, rho' at its nodes (read-only) serve diagnostics.
     """
 
     xi: float
-    E0m: np.ndarray
-    E1m: np.ndarray
     E2m: np.ndarray
     Gm: np.ndarray
     Jm: np.ndarray
@@ -88,18 +85,21 @@ def wall_matrices(c: SlabConfig, g: SpectralGrid) -> tuple[np.ndarray, np.ndarra
 
 
 def _dissipation_matrix(c: SlabConfig, g: SpectralGrid, K2: np.ndarray) -> np.ndarray:
-    """Interior matrix E0m of int mu |psi''|^2 - k1 |psi'(1)|^2 - k0 |psi'(0)|^2 (K2: curvature)."""
+    """Interior matrix E0 of int mu |psi''|^2 - k1 |psi'(1)|^2 - k0 |psi'(0)|^2 (K2: curvature)."""
     W0, W1 = wall_matrices(c, g)
     return c.mu * K2 - W1 - W0
 
 
 @functools.lru_cache(maxsize=1)
-def _grams(p: DensityProfile, g: SpectralGrid) -> tuple:
-    """Read-only xi-independent data of p on g, kept for the latest (p, g)
-    pair (both hash by identity): the interior Grams curvature, gradient,
-    mass, rho-weighted gradient, rho-weighted mass, rho'-weighted mass, then
-    copies of rho and rho' at the nodes (freezing them leaves p's arrays alone)."""
-    out = (curvature_matrix(g), gradient_matrix(g), mass_matrix(g),
+def _grams(p: DensityProfile, c: SlabConfig, g: SpectralGrid) -> tuple:
+    """Read-only xi-independent data of (p, c) on g, kept for the latest triple
+    (p and g hash by identity, c by value): the dissipation form E0 (inf where
+    it overflows), the interior Grams gradient, mass, rho-weighted gradient,
+    rho-weighted mass, rho'-weighted mass, then copies of rho and rho' at the
+    nodes (freezing them leaves p's arrays alone)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        E0 = _dissipation_matrix(c, g, curvature_matrix(g))
+    out = (E0, gradient_matrix(g), mass_matrix(g),
            gradient_matrix(g, p.rho), mass_matrix(g, p.rho), mass_matrix(g, p.drho),
            np.array(p.rho(g.nodes), dtype=float), np.array(p.drho(g.nodes), dtype=float))
     for A in out:
@@ -108,21 +108,21 @@ def _grams(p: DensityProfile, g: SpectralGrid) -> tuple:
 
 
 def assemble_forms(p: DensityProfile, c: SlabConfig, g: SpectralGrid, xi: float) -> FormSet:
-    """Assemble all five forms for frequency xi; rejects xi = 0 and overflow."""
+    """The pencil's three forms at frequency xi; rejects xi = 0, overflow and a subnormal g xi^2."""
     if xi == 0.0:
         raise ZeroFrequency("quadratic forms require xi != 0")
-    K2, K1, M, K1r, Mr, Mdr, rho, drho = _grams(p, g)
+    E0, K1, M, K1r, Mr, Mdr, rho, drho = _grams(p, c, g)
     with np.errstate(over="ignore", invalid="ignore"):
         xi2 = xi * xi
-        E0m = _dissipation_matrix(c, g, K2)
-        E1m = c.mu * (2.0 * K1 + xi2 * M)
-        E2m = c.g * xi2 * Mdr
+        gxi2 = c.g * xi2
+        E2m = gxi2 * Mdr
         Jm = K1r + xi2 * Mr
-        Gm = E0m + xi2 * E1m
+        Gm = E0 + xi2 * (c.mu * (2.0 * K1 + xi2 * M))
     if not all(np.isfinite(A).all() for A in (Gm, Jm, E2m)):
         raise ValueError(f"quadratic forms at xi = {xi:g} overflow")
-    return FormSet(xi=float(xi), E0m=E0m, E1m=E1m, E2m=E2m, Gm=Gm, Jm=Jm,
-                   grid=g, rho_nodes=rho, drho_nodes=drho)
+    if c.g > 0.0 and gxi2 < np.finfo(float).tiny:
+        raise ValueError(f"quadratic forms at xi = {xi:g} underflow: g xi^2 = {gxi2:g}")
+    return FormSet(xi=float(xi), E2m=E2m, Gm=Gm, Jm=Jm, grid=g, rho_nodes=rho, drho_nodes=drho)
 
 
 def c0_constant(c: SlabConfig) -> float:

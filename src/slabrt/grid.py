@@ -37,12 +37,9 @@ class SpectralGrid:
 def chebyshev_lobatto_nodes(n: int) -> np.ndarray:
     """Gauss-Lobatto points mapped to [0, 1], ascending, endpoints exact."""
     j = np.arange(n)
-    # sine form keeps the node set exactly symmetric about 1/2
+    # sine form keeps the node set exactly symmetric about 1/2 and its ends exactly 0 and 1
     x = np.sin(np.pi * (n - 1 - 2 * j) / (2 * (n - 1)))
-    y = 0.5 * (1.0 - x)
-    y[0] = 0.0
-    y[-1] = 1.0
-    return y
+    return 0.5 * (1.0 - x)
 
 
 def lobatto_barycentric_weights(n: int) -> np.ndarray:

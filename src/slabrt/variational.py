@@ -188,7 +188,7 @@ def critical_viscosity_numerical(c: SlabConfig, grid: SpectralGrid) -> float:
     """Supremum of the boundary-slip quotient over curvature, clamped at 0.
 
     The numerator is the rank-<=2 trace form k1 |psi'(1)|^2 + k0 |psi'(0)|^2,
-    the sum of the wall matrices that E0m subtracts, and the denominator is
+    the sum of the wall matrices that E0 subtracts, and the denominator is
     int |psi''|^2; the discrete sup is the largest eigenvalue of that pencil.
     """
     W0, W1 = wall_matrices(c, grid)

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +13,7 @@ from slabrt.cli import load_config, main
 from schema_check import validate_file
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 UNSTABLE = """\
 [profile]
@@ -879,11 +883,58 @@ def test_overflowing_rayleigh_root_exits_4(tmp_path, capsys, command):
                                        "root over- or underflows to inf\n")
 
 
-def test_non_finite_residual_exits_2_writing_no_json(tmp_path, capsys):
+def test_non_finite_residual_exits_2_writing_no_json(tmp_path, capsys, monkeypatch):
+    reconstruct = slabrt.dispersion.reconstruct_mode
+
+    def nan_residual(*args):
+        phi, pi, res = reconstruct(*args)
+        return phi, pi, {**res, "ode_res": float("nan")}
+
+    monkeypatch.setattr(slabrt.dispersion, "reconstruct_mode", nan_residual)
     out = tmp_path / "o"
     assert main(["mode", "--config", str(CONFIGS / "default.ini"), "--out", str(out),
-                 "--n", "16", "--xi", "2", "--g", "1e300"]) == 2
+                 "--n", "16", "--xi", "2"]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {out / 'residuals.json'} not written: ")
     assert err.count("\n") == 1
-    assert not list(out.glob("*.json"))
+    assert not out.exists() or not list(out.iterdir())
+
+
+@pytest.mark.parametrize("flag, value", [("--k0", "1e150"), ("--k1", "1e150"), ("--g", "1e300")])
+def test_large_mode_has_finite_residuals(tmp_path, flag, value):
+    # the residual norms are scaled by a power of two, so squaring a value
+    # above 1e154 no longer overflows a norm of a finite mode
+    out = tmp_path / "o"
+    assert main(["mode", "--config", str(CONFIGS / "default.ini"), "--out", str(out),
+                 "--n", "16", "--xi", "2", flag, value]) == 0
+    payload = _strict_json((out / "residuals.json").read_text())
+    assert payload["lambda"] > 0.0
+    assert all(np.isfinite(v) for v in payload.values())
+
+
+@pytest.mark.parametrize("command, args, shown", [
+    ("mode", ["--xi", "1e-300"], "xi = 1e-300 underflow: g xi^2 = 0"),
+    ("mode", ["--xi", "1e-10", "--g", "1e-300"], "xi = 1e-10 underflow: g xi^2 = 9.99989e-321"),
+    ("mode", ["--xi", "1e-160"], "xi = 1e-160 underflow: g xi^2 = 9.99989e-321"),
+    ("evolve", ["--xi", "1e-300"], "xi = 1e-300 underflow: g xi^2 = 0"),
+])
+def test_underflowing_gravity_form_exits_2_writing_nothing(tmp_path, capsys, command, args,
+                                                           shown):
+    out = tmp_path / "o"
+    assert main([command, "--config", str(CONFIGS / "default.ini"), "--out", str(out),
+                 "--n", "16"] + args) == 2
+    assert capsys.readouterr().err == f"error: quadratic forms at {shown}\n"
+    assert not out.exists()
+
+
+def test_cli_import_loads_no_heavy_scipy_subpackage():
+    # each CLI run pays its import; scipy.linalg is the only scipy module it needs
+    heavy = ["scipy." + name for name in ("sparse", "optimize", "interpolate", "integrate",
+                                          "special", "stats", "signal", "fft", "ndimage",
+                                          "spatial")]
+    code = ("import sys, slabrt.cli; "
+            f"print(sorted(m for m in {heavy!r} if m in sys.modules))")
+    env = {**os.environ, "PYTHONPATH": str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True, timeout=60)
+    assert run.stdout == "[]\n"

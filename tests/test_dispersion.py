@@ -24,6 +24,7 @@ from slabrt import (
     scan_band,
 )
 import slabrt.dispersion
+import slabrt.forms
 from slabrt.cli import _scan, load_config
 from slabrt.dispersion import _linearization
 from slabrt.errors import ConvergenceFailure, EigensolveFailure, EmptyBand, NonPositiveHorizon
@@ -35,7 +36,7 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 @pytest.mark.parametrize("c", [
     SlabConfig(mu=0.01, g=1.0, k0=1e160, k1=0.0, L=1.0),  # rate about 1.6e164
     SlabConfig(mu=1e160, g=1.0, k0=0.0, k1=0.0, L=1.0),  # rate about 2.0794e-162
-    SlabConfig(mu=1e8, g=1e-316, k0=0.0, k1=0.0, L=1.0),  # the root underflows
+    SlabConfig(mu=1e160, g=1e-150, k0=0.0, k1=0.0, L=1.0),  # the root underflows
 ])
 def test_growth_rate_out_of_float_range_raises(profile_up, grid32, c):
     # the Rayleigh root over- or underflows at the first step: no rate,
@@ -43,6 +44,27 @@ def test_growth_rate_out_of_float_range_raises(profile_up, grid32, c):
     with pytest.raises(ConvergenceFailure, match=r"^growth-rate fixed point at xi = 2: "
                                                  r"the Rayleigh root over- or underflows to "):
         growth_rate(profile_up, c, grid32, 2.0)
+
+
+def test_subnormal_gravity_form_raises(profile_up, grid32):
+    # g xi^2 below the normal range would leave E2m subnormal: no rate,
+    # rather than one off in its last digits or a stability no bound proved
+    c = SlabConfig(mu=1e8, g=1e-316, k0=0.0, k1=0.0, L=1.0)
+    with pytest.raises(ValueError, match=r"^quadratic forms at xi = 2 underflow: "
+                                         r"g xi\^2 = 4e-316$"):
+        growth_rate(profile_up, c, grid32, 2.0)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(top=st.floats(min_value=1e-150, max_value=1e150),
+       seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_scaled_wnorm_is_the_plain_norm_bit_for_bit(grid32, top, seed):
+    # scaling by a power of two is exact, so wherever the plain squares
+    # neither overflow nor underflow the norm is the same float
+    f = np.random.default_rng(seed).standard_normal(30)
+    f *= top / np.max(np.abs(f))
+    w = grid32.w[1:-1]
+    assert slabrt.dispersion._wnorm(w, f) == np.sqrt(w @ (f * f))
 
 
 def test_stable_profile_has_no_growing_mode(profile_down, grid64):
@@ -603,8 +625,21 @@ def test_scan_iterations_per_frequency(profile_up, default_config, grid64):
     assert max(pt.iters for pt in res.samples) <= 8
 
 
+def test_scan_builds_the_dissipation_form_once(profile_up, default_config, grid64,
+                                               monkeypatch):
+    # E0 is cached with the Grams, so 69 frequencies build it once
+    calls = []
+    build = slabrt.forms._dissipation_matrix
+    monkeypatch.setattr(slabrt.forms, "_dissipation_matrix",
+                        lambda *a: calls.append(1) or build(*a))
+    slabrt.forms._grams.cache_clear()
+    res = scan_band(profile_up, default_config, grid64, (0.0, 10.0), 64)
+    assert len(res.samples) == 2 * 69
+    assert len(calls) == 1
+
+
 def test_scan_keeps_points_not_modes(profile_up, default_config, grid64):
-    # each mode and its FormSet (five m x m matrices, about 150 kB at n = 64)
+    # each mode and its FormSet (three m x m matrices, about 92 kB at n = 64)
     # is freed once its point is taken, so 49 frequencies stay well under 2 MB
     growth_rate(profile_up, default_config, grid64, 1.0)  # warm the Gram cache
     tracemalloc.start()

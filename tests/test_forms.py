@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,14 @@ from slabrt import (
     preset_profile,
 )
 from slabrt.errors import ZeroFrequency
-from slabrt.forms import curvature_matrix, gradient_matrix, mass_matrix, slope_traces
+from slabrt.forms import (
+    FormSet,
+    _dissipation_matrix,
+    curvature_matrix,
+    gradient_matrix,
+    mass_matrix,
+    slope_traces,
+)
 
 
 def interior_parabola(g):
@@ -27,27 +36,35 @@ def test_zero_frequency_rejected(profile_up, default_config, grid64):
         assemble_forms(profile_up, default_config, grid64, 0.0)
 
 
+def test_formset_holds_only_the_pencil():
+    assert [f.name for f in fields(FormSet)] == ["xi", "E2m", "Gm", "Jm", "grid",
+                                                 "rho_nodes", "drho_nodes"]
+
+
 def test_forms_match_grams_when_interleaved():
-    # two profiles on two distinct grids of equal size, visited in turn, each
-    # pair assembled twice in a row (a cache miss, then a hit): every form must
-    # equal its expression in freshly built Gram matrices, bit for bit
-    c = SlabConfig(mu=0.02, g=1.0, k0=0.5, k1=1.0, L=1.0)
+    # two profiles on two distinct grids of equal size and two slabs on each
+    # (profile, grid), visited in turn, each triple assembled twice in a row (a
+    # cache miss, then a hit): every form must equal its expression in freshly
+    # built Gram matrices, bit for bit, so a dissipation form cached for the
+    # other slab fails
+    slabs = (SlabConfig(mu=0.02, g=1.0, k0=0.5, k1=1.0, L=1.0),
+             SlabConfig(mu=0.5, g=2.5, k0=-1.0, k1=3.0, L=1.0))
     profiles = (preset_profile("linear-up"), preset_profile("tanh-layer"))
     grids = (build_grid(32), build_grid(32))
     for xi in (1.0, 2.5):
         xi2 = xi * xi
         for p in profiles:
             for g in grids:
-                t0, t1 = slope_traces(g)
-                E0 = (c.mu * curvature_matrix(g)
-                      - c.k1 * np.outer(t1, t1) - c.k0 * np.outer(t0, t0))
-                E1 = c.mu * (2.0 * gradient_matrix(g) + xi2 * mass_matrix(g))
-                J = gradient_matrix(g, p.rho) + xi2 * mass_matrix(g, p.rho)
-                for fs in (assemble_forms(p, c, g, xi), assemble_forms(p, c, g, -xi)):
-                    assert np.array_equal(fs.E0m, 0.5 * (E0 + E0.T))
-                    assert np.array_equal(fs.E1m, 0.5 * (E1 + E1.T))
-                    assert np.array_equal(fs.E2m, c.g * xi2 * mass_matrix(g, p.drho))
-                    assert np.array_equal(fs.Jm, 0.5 * (J + J.T))
+                for c in slabs:
+                    t0, t1 = slope_traces(g)
+                    E0 = (c.mu * curvature_matrix(g)
+                          - c.k1 * np.outer(t1, t1) - c.k0 * np.outer(t0, t0))
+                    E1 = c.mu * (2.0 * gradient_matrix(g) + xi2 * mass_matrix(g))
+                    J = gradient_matrix(g, p.rho) + xi2 * mass_matrix(g, p.rho)
+                    for fs in (assemble_forms(p, c, g, xi), assemble_forms(p, c, g, -xi)):
+                        assert np.array_equal(fs.Gm, E0 + xi2 * E1)
+                        assert np.array_equal(fs.E2m, c.g * xi2 * mass_matrix(g, p.drho))
+                        assert np.array_equal(fs.Jm, 0.5 * (J + J.T))
 
 
 def test_node_density_sampled_once_per_profile_and_grid(default_config, grid64):
@@ -72,9 +89,9 @@ def test_node_density_sampled_once_per_profile_and_grid(default_config, grid64):
 def test_e0_parabola(grid32):
     # psi'' = -2 so E0 = int 4 = 4 with free-slip walls
     c = SlabConfig(mu=1.0, g=1.0, k0=0.0, k1=0.0, L=1.0)
-    fs = assemble_forms(constant_profile(1.0), c, grid32, 1.0)
+    E0 = _dissipation_matrix(c, grid32, curvature_matrix(grid32))
     v = interior_parabola(grid32)
-    assert v @ fs.E0m @ v == pytest.approx(4.0, abs=1e-10)
+    assert v @ E0 @ v == pytest.approx(4.0, abs=1e-10)
 
 
 def test_j_parabola_uniform_density(grid32):
@@ -94,35 +111,42 @@ def test_e2_parabola_linear_density(profile_up, grid32):
 
 
 def test_e1_parabola(grid32):
-    # E1 = mu int (2 psi'^2 + xi^2 psi^2) with mu = 2, xi = 3
+    # E1 = mu int (2 psi'^2 + xi^2 psi^2) with mu = 2, xi = 3, read off
+    # Gm = E0 + xi^2 E1 with E0 = mu int 4 = 8
     c = SlabConfig(mu=2.0, g=1.0, k0=0.0, k1=0.0, L=1.0)
     fs = assemble_forms(constant_profile(1.0), c, grid32, 3.0)
     v = interior_parabola(grid32)
     expect = 2.0 * (2.0 / 3.0 + 9.0 / 30.0)
-    assert v @ fs.E1m @ v == pytest.approx(expect, abs=1e-10)
+    assert v @ fs.Gm @ v == pytest.approx(8.0 + 9.0 * expect, abs=1e-10)
 
 
 def test_slip_terms_in_e0(grid32):
     # psi'(0) = 1, psi'(1) = -1 for the parabola
     c = SlabConfig(mu=1.0, g=1.0, k0=2.0, k1=3.0, L=1.0)
-    fs = assemble_forms(constant_profile(1.0), c, grid32, 1.0)
     v = interior_parabola(grid32)
     t0, t1 = slope_traces(grid32)
     assert t0 @ v == pytest.approx(1.0, abs=1e-11)
     assert t1 @ v == pytest.approx(-1.0, abs=1e-11)
-    assert v @ fs.E0m @ v == pytest.approx(4.0 - 3.0 * 1.0 - 2.0 * 1.0, abs=1e-10)
+    E0 = _dissipation_matrix(c, grid32, curvature_matrix(grid32))
+    assert v @ E0 @ v == pytest.approx(4.0 - 3.0 * 1.0 - 2.0 * 1.0, abs=1e-10)
+    # Gm carries the same wall terms: xi^2 E1 = 2/3 + 1/30 at mu = xi = 1
+    fs = assemble_forms(constant_profile(1.0), c, grid32, 1.0)
+    assert v @ fs.Gm @ v == pytest.approx(-1.0 + 2.0 / 3.0 + 1.0 / 30.0, abs=1e-10)
 
 
 def test_matrices_symmetric(profile_exp, default_config, grid64):
     fs = assemble_forms(profile_exp, default_config, grid64, 1.7)
-    for name in ("E0m", "E1m", "E2m", "Gm", "Jm"):
-        A = getattr(fs, name)
+    E0 = _dissipation_matrix(default_config, grid64, curvature_matrix(grid64))
+    E1 = default_config.mu * (2.0 * gradient_matrix(grid64) + 1.7**2 * mass_matrix(grid64))
+    for A in (E0, E1, fs.E2m, fs.Gm, fs.Jm):
         assert np.array_equal(A, A.T)
 
 
 def test_g_is_e0_plus_xi2_e1(profile_up, default_config, grid64):
     fs = assemble_forms(profile_up, default_config, grid64, 2.5)
-    assert np.array_equal(fs.Gm, fs.E0m + 2.5**2 * fs.E1m)
+    E0 = _dissipation_matrix(default_config, grid64, curvature_matrix(grid64))
+    E1 = default_config.mu * (2.0 * gradient_matrix(grid64) + 2.5**2 * mass_matrix(grid64))
+    assert np.array_equal(fs.Gm, E0 + 2.5**2 * E1)
 
 
 @pytest.mark.parametrize("name", ["exp", "linear-up", "linear-down", "tanh-layer"])

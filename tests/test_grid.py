@@ -3,13 +3,26 @@ import pytest
 
 from slabrt import build_grid
 from slabrt.errors import GridTooSmall
-from slabrt.grid import barycentric_eval, barycentric_weights, differentiation_matrix
+from slabrt.grid import (
+    MAX_NODES,
+    barycentric_eval,
+    barycentric_weights,
+    chebyshev_lobatto_nodes,
+    differentiation_matrix,
+)
 
 
 def test_nodes_endpoints_exact(grid64):
     assert grid64.nodes[0] == 0.0
     assert grid64.nodes[-1] == 1.0
     assert np.all(np.diff(grid64.nodes) > 0)
+
+
+def test_sine_form_gives_exact_endpoints():
+    # sin(+-pi/2) rounds to +-1 exactly, so the ends are 0 and 1 at every size
+    for n in range(2, 2 * MAX_NODES + 1):
+        y = chebyshev_lobatto_nodes(n)
+        assert (y[0], y[-1]) == (0.0, 1.0), n
 
 
 def test_nodes_symmetric(grid64):
