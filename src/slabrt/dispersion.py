@@ -8,12 +8,13 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .errors import ConvergenceFailure, EigensolveFailure, EmptyBand, NonPositiveHorizon
+from .errors import ConvergenceFailure, EmptyBand, NonPositiveHorizon
 from .forms import FormSet, assemble_forms
 from .grid import SpectralGrid
 from .profiles import DensityProfile, SlabConfig
 from .variational import (
     _fix_sign,
+    _lapack,
     _rayleigh_fixed_point,
     _ReducedPencil,
     critical_viscosity_closed_form,
@@ -116,15 +117,13 @@ def growth_rate(p: DensityProfile, c: SlabConfig, grid: SpectralGrid,
     """
     what = f"growth-rate fixed point at xi = {xi:g}"
     fs = assemble_forms(p, c, grid, xi)
-    try:
-        red = _ReducedPencil(fs.Jm, fs.Gm, fs.E2m)
-    except EigensolveFailure as exc:
-        raise EigensolveFailure(f"{what}: {exc}") from exc
+    red = _ReducedPencil(fs.Jm, fs.Gm, fs.E2m, what)
     lam, it = _rayleigh_fixed_point(red.rayleigh_coefficients, what)
     if lam is None:
         if c.mu >= critical_viscosity_closed_form(c):
             return None
-        gamma = float(sla.eigh(red.A1t, eigvals_only=True, subset_by_index=[0, 0])[0])
+        gamma = float(_lapack(what, sla.eigh, red.A1t, eigvals_only=True,
+                              subset_by_index=[0, 0])[0])
         if gamma >= 0.0 or gamma * gamma / 4.0 < red.solved[0]:  # alpha(0), its one solve
             return None
         s0 = -0.5 * gamma
@@ -214,72 +213,58 @@ def companion_oracle(fs: FormSet):
 
     An independent check on the variational fixed point: one dense
     eigensolve of _linearization's 2m matrix H, whose eigenvalues are the
-    pencil's, sees the whole spectrum, and the rate is H's largest real
-    eigenvalue.  Where E2m is positive semidefinite to roundoff (rho' >= 0
-    at every node of the doubled rule) H is symmetric, all 2m eigenvalues
-    are real and a symmetric eigensolve takes the largest eigenpair alone,
-    whose upper block x1 gives the pencil's vector v = L^-T x1, the
-    reduction's mode; elsewhere, where complex pairs can exist, a
-    nonsymmetric eigensolve finds every eigenvalue and v is the null
-    direction of the pencil at the largest real one.  Returns (lam, v) with
-    v J-normalized, or None when no real eigenvalue exceeds
-    REAL_EIG_TOL * theta, theta = sqrt(|E2m| / |Jm|).  Raises EigensolveFailure
-    naming xi when Jm has no Cholesky factor or an eigensolve fails.
+    pencil's, sees the whole spectrum.  Where E2m is positive semidefinite to
+    roundoff (rho' >= 0 at every node of the doubled rule) H is symmetric
+    and all 2m eigenvalues are real: a symmetric eigensolve resolves the
+    largest to 2 safmin, so it grows when positive, and its upper block x1
+    gives the pencil's vector v = L^-T x1, the reduction's mode.  Elsewhere,
+    where complex pairs can exist, a nonsymmetric eigensolve finds every
+    eigenvalue; the largest real one above REAL_EIG_TOL * theta, with
+    theta = sqrt(|E2m| / |Jm|), grows, and v is the pencil's null direction
+    there.  Returns (lam, v) with v J-normalized, or None when no eigenvalue
+    grows.  Raises EigensolveFailure naming xi when Jm has no Cholesky
+    factor, a matrix is not finite or an eigensolve fails.
     """
-    try:
-        H, symmetric, red = _linearization(fs)
-    except (sla.LinAlgError, EigensolveFailure) as exc:
-        raise EigensolveFailure(f"companion oracle at xi = {fs.xi:g}: {exc}") from exc
+    what = f"companion oracle at xi = {fs.xi:g}"
+    H, symmetric, red = _linearization(fs, what)
     m = red.L.shape[0]
-    try:
-        if symmetric:
-            # the largest eigenpair only, its eigenvalue bisected to high
-            # relative accuracy (abstol = 2 safmin); scipy's eigh bisects to
-            # eps |H| absolute, 21 % off the rate at g = 1e-12 (linear-up, n = 32)
-            syevr = sla.get_lapack_funcs("syevr", (H,))
-            vals, X, _, _, info = syevr(H, range="I", il=2 * m, iu=2 * m, lower=1,
-                                        abstol=2 * np.finfo(float).tiny, overwrite_a=1)
-            if info != 0:
-                raise sla.LinAlgError(f"syevr info = {info}")
-            vals = vals[:1]
-        else:
-            vals = sla.eig(H, right=False, overwrite_a=True)
-    except sla.LinAlgError as exc:
-        kind = "symmetric" if symmetric else "companion"
-        raise EigensolveFailure(f"{kind} eigensolve failed at xi = {fs.xi:g}: {exc}") from exc
+    if symmetric:
+        # the largest eigenpair alone, bisected to abstol = 2 safmin: scipy's eigh
+        # bisects to eps |H| absolute, 21 % off the rate at g = 1e-12 (linear-up, n = 32)
+        vals, X, _, _ = _lapack(what, "syevr", H, range="I", il=2 * m, iu=2 * m, lower=1,
+                                abstol=2 * np.finfo(float).tiny, overwrite_a=1)
+        return (float(vals[0]), red.mode(X[:m, 0])) if vals[0] > 0.0 else None
+    vals = _lapack(what, sla.eig, H, right=False, overwrite_a=True)
     real = np.abs(vals.imag) <= REAL_EIG_TOL * (1.0 + np.abs(vals.real))
-    nJ, nE = np.linalg.norm(fs.Jm), np.linalg.norm(fs.E2m)
-    theta = np.sqrt(nE / nJ) if nE > 0 and nJ > 0 else 1.0
+    theta = np.sqrt(np.linalg.norm(fs.E2m) / np.linalg.norm(fs.Jm))
     good = real & (vals.real > REAL_EIG_TOL * theta)
     if not np.any(good):
         return None
     lam = float(np.max(vals.real[good]))
-    if symmetric:
-        return lam, red.mode(X[:m, 0])
     # at the largest real root P(lam) is positive semidefinite, so its
     # smallest eigenvector is the null direction
     P = lam * lam * fs.Jm + lam * fs.Gm - fs.E2m
-    v = sla.eigh(P, subset_by_index=[0, 0])[1][:, 0]
+    v = _lapack(what, sla.eigh, P, subset_by_index=[0, 0])[1][:, 0]
     return lam, _fix_sign(v / np.sqrt(v @ fs.Jm @ v))
 
 
-def _linearization(fs: FormSet) -> tuple[np.ndarray, bool, _ReducedPencil]:
+def _linearization(fs: FormSet, what: str) -> tuple[np.ndarray, bool, _ReducedPencil]:
     """companion_oracle's H, whether it is symmetric, and the reduction of
-    (Jm, Gm).  With E2m = Q diag(w) Q', Jm = L L', F = L^-1 Q diag(sqrt|w|)
-    and S = diag(sign w), H = [[-L^-1 Gm L^-T, F], [S F', 0]] has
+    (Jm, Gm), failures named by what.  With E2m = Q diag(w) Q', Jm = L L',
+    F = L^-1 Q diag(sqrt|w|), S = diag(sign w), H = [[-L^-1 Gm L^-T, F], [S F', 0]] has
     det(lam I - H) = det(lam^2 Jm + lam Gm - E2m), a first companion form
     (Tisseur & Meerbergen, SIAM Rev. 43 (2001) 235), and an eigenvector
     [x1; x2] of H gives the pencil's L^-T x1, the reduction's mode of x1.
     E2m counts as positive semidefinite, S = I and H symmetric, when w[0]
     is at least -10 m eps max|w|; w is then clipped at 0."""
     m = fs.Jm.shape[0]
-    w, Q = sla.eigh(fs.E2m, driver="evd")
+    w, Q = _lapack(what, sla.eigh, fs.E2m, driver="evd")
     symmetric = bool(w[0] >= -10 * m * np.finfo(float).eps * np.max(np.abs(w)))
-    red = _ReducedPencil(fs.Jm, fs.Gm)
+    red = _ReducedPencil(fs.Jm, fs.Gm, what=what)
     H = np.zeros((2 * m, 2 * m), order="F")
     np.negative(red.A1t, out=H[:m, :m])
     scale = np.sqrt(np.maximum(w, 0.0) if symmetric else np.abs(w))
-    H[m:, :m] = sla.solve_triangular(red.L, Q * scale, lower=True).T
+    H[m:, :m] = _lapack(what, sla.solve_triangular, red.L, Q * scale, lower=True).T
     H[:m, m:] = H[m:, :m].T
     if not symmetric:
         H[m:, :m] *= np.sign(w)[:, None]

@@ -63,6 +63,21 @@ def _rayleigh_root(a: float, b: float, e: float) -> float | None:
     return (r - b) / (2.0 * a) if b <= 0.0 else 2.0 * e / (b + r)
 
 
+def _lapack(what: str, f, *args, **kw):
+    """f(*args, **kw), f a scipy.linalg function or the name of a LAPACK routine,
+    whose trailing info is checked and dropped; a LinAlgError, a non-zero info or
+    scipy's ValueError for infs and NaNs raises EigensolveFailure(f"{what}: ...")."""
+    try:
+        if not isinstance(f, str):
+            return f(*args, **kw)
+        *out, info = sla.get_lapack_funcs(f, (args[0],))(*args, **kw)
+    except (sla.LinAlgError, ValueError) as exc:
+        raise EigensolveFailure(f"{what}: {exc}") from exc
+    if info != 0:
+        raise EigensolveFailure(f"{what}: {f} info = {info}")
+    return out
+
+
 class _ReducedPencil:
     """The pencil (s A1 - A0) v = theta B v with B positive definite,
     reduced once through B = L L' to standard symmetric problems in
@@ -70,14 +85,11 @@ class _ReducedPencil:
     L^{-1} comes from trtri and is not kept: products with it are faster than
     substitution and as stable (Du Croz & Higham, IMA J. Numer. Anal. 12 (1992) 1)."""
 
-    def __init__(self, B: np.ndarray, A1: np.ndarray, A0: np.ndarray | None = None):
-        try:
-            self.L = sla.cholesky(B, lower=True)
-        except sla.LinAlgError as exc:
-            raise EigensolveFailure(f"pencil mass matrix is not positive definite: {exc}") from exc
-        Li, info = sla.get_lapack_funcs("trtri", (self.L,))(self.L, lower=1)
-        if info != 0:
-            raise EigensolveFailure(f"Cholesky factor has no inverse: trtri info = {info}")
+    def __init__(self, B: np.ndarray, A1: np.ndarray, A0: np.ndarray | None = None,
+                 what: str = "pencil eigensolve"):
+        self.what = what
+        self.L = _lapack(what, sla.cholesky, B, lower=True)
+        Li, = _lapack(what, "trtri", self.L, lower=1)
         self.B = B
         self.A1t = self._congruence(Li, A1)
         self.A0t = None if A0 is None else self._congruence(Li, A0)
@@ -92,27 +104,30 @@ class _ReducedPencil:
         return self.A1t if self.A0t is None else s * self.A1t - self.A0t
 
     def mode(self, u: np.ndarray) -> np.ndarray:
-        """Eigenvector L^{-T} u of a reduced one u, B-normalized and signed by _fix_sign."""
-        v = sla.solve_triangular(self.L, u, lower=True, trans="T")
+        """Eigenvector L^{-T} u of a reduced one u, B-normalized and signed by _fix_sign.
+        L and u come from checked LAPACK calls, so the solve checks no input."""
+        v = _lapack(self.what, sla.solve_triangular, self.L, u, lower=True, trans="T",
+                    check_finite=False)
         return _fix_sign(v / np.sqrt(v @ self.B @ v))
 
     def pair(self, s: float = 1.0, largest: bool = False):
         """Extreme eigenpair at s, the vector as from mode."""
         At = self._at(s)
         idx = At.shape[0] - 1 if largest else 0
-        vals, vecs = sla.eigh(At, subset_by_index=[idx, idx])
+        vals, vecs = _lapack(self.what, sla.eigh, At, subset_by_index=[idx, idx])
         return float(vals[0]), self.mode(vecs[:, 0])
 
     def rayleigh_coefficients(self, s: float):
         """(1, u' A1 u, u' A0 u) for the unit minimizer u at s: the coefficients
         of the Rayleigh functional s^2 + (u' A1 u) s - u' A0 u.  The solve is
         kept as solved = (theta, u)."""
-        vals, vecs = sla.eigh(self._at(s), subset_by_index=[0, 0])
+        vals, vecs = _lapack(self.what, sla.eigh, self._at(s), subset_by_index=[0, 0])
         u = vecs[:, 0]
         self.solved = (float(vals[0]), u)
         return 1.0, float(u @ self.A1t @ u), float(u @ self.A0t @ u)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite pencil fails by name in _lapack
 def _rayleigh_fixed_point(coefficients, what: str, t0: float = 0.0):
     """Growing root t* of a quadratic eigenproblem with a min-max
     characterization, by safeguarded iteration on its Rayleigh functional.

@@ -883,6 +883,16 @@ def test_overflowing_rayleigh_root_exits_4(tmp_path, capsys, command):
                                        "root over- or underflows to inf\n")
 
 
+@pytest.mark.parametrize("command", ["mode", "evolve"])
+def test_non_finite_pencil_exits_4(tmp_path, capsys, command):
+    # s A1t overflows at the second Rayleigh step: the eigensolve refuses the
+    # pencil by stage and frequency, with no RuntimeWarning on the way
+    assert main([command, "--config", str(CONFIGS / "default.ini"), "--out",
+                 str(tmp_path / "o"), "--n", "16", "--xi", "2", "--k0", "1e153"]) == 4
+    assert capsys.readouterr().err == ("error: growth-rate fixed point at xi = 2: array must "
+                                       "not contain infs or NaNs\n")
+
+
 def test_non_finite_residual_exits_2_writing_no_json(tmp_path, capsys, monkeypatch):
     reconstruct = slabrt.dispersion.reconstruct_mode
 

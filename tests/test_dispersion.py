@@ -217,19 +217,6 @@ def test_companion_eigenvector_residual(default_mode):
     assert np.linalg.norm(r) / den <= 1e-6
 
 
-def test_companion_refuses_singular_mass_matrix(profile_up, default_config, grid32):
-    # a singular Jm gives infinite eigenvalues; the Jm-reduced linearization
-    # needs Jm's Cholesky factor, so it refuses the input as growth_rate does
-    fs = assemble_forms(profile_up, default_config, grid32, 2.0)
-    J = fs.Jm.copy()
-    J[0, :] = 0.0
-    J[:, 0] = 0.0
-    with pytest.raises(EigensolveFailure,
-                       match=r"^companion oracle at xi = 2: pencil mass matrix is not positive "
-                             r"definite"):
-        companion_oracle(replace(fs, Jm=J))
-
-
 def test_companion_none_for_dissipative_system(grid64):
     # rho = 1 kills the gravity form; with a positive-definite dissipation
     # form all eigenvalues sit in the left half plane
@@ -327,7 +314,7 @@ INDEFINITE_CASES = [
 @pytest.mark.parametrize("name, params, c, xi", DEFINITE_CASES + INDEFINITE_CASES)
 def test_linearization_has_the_pencil_spectrum(grid64, name, params, c, xi):
     fs = assemble_forms(preset_profile(name, **params), c, grid64, xi)
-    H, symmetric, _ = _linearization(fs)
+    H, symmetric, _ = _linearization(fs, "test")
     assert symmetric == ((name, params, c, xi) in DEFINITE_CASES)
     qz = _qz_spectrum(fs)
     assert qz.size == 2 * fs.Jm.shape[0]
@@ -354,8 +341,8 @@ def test_definite_path_matches_companion_path(grid64, monkeypatch, name, params,
     lam, v = companion_oracle(fs)
     linearization = slabrt.dispersion._linearization
 
-    def as_companion(fs):
-        H, _, red = linearization(fs)
+    def as_companion(fs, what):
+        H, _, red = linearization(fs, what)
         return H, False, red
 
     monkeypatch.setattr(slabrt.dispersion, "_linearization", as_companion)
@@ -432,31 +419,91 @@ def test_oracle_without_gravity_form_takes_symmetric_path(grid64, monkeypatch):
     assert calls["eig"] == 0 and calls["syevr"] == 1
 
 
-def test_symmetric_eigensolve_failure_names_frequency(profile_up, default_config, grid32,
-                                                      monkeypatch):
-    fs = assemble_forms(profile_up, default_config, grid32, 2.0)
-    get = sla.get_lapack_funcs
-
-    def failing(names, *args, **kw):
-        f = get(names, *args, **kw)
-        return (lambda *a, **k: (*f(*a, **k)[:-1], 1)) if names == "syevr" else f
-
-    monkeypatch.setattr(sla, "get_lapack_funcs", failing)
-    with pytest.raises(EigensolveFailure,
-                       match=r"^symmetric eigensolve failed at xi = 2: syevr info = 1$"):
-        companion_oracle(fs)
+def _growth_rate(p, c):
+    return lambda grid: growth_rate(p, c, grid, 2.0)
 
 
-def test_companion_eigensolve_failure_names_frequency(profile_down, grid64, monkeypatch):
-    fs = assemble_forms(profile_down, INDEFINITE, grid64, 2.0)
+def _oracle(p, c, edit=lambda fs: fs):
+    return lambda grid: companion_oracle(edit(assemble_forms(p, c, grid, 2.0)))
 
+
+def _singular_jm(fs):
+    # a singular Jm gives infinite eigenvalues; the Jm-reduced linearization
+    # needs Jm's Cholesky factor, so it refuses the input as growth_rate does
+    J = fs.Jm.copy()
+    J[0, :] = J[:, 0] = 0.0
+    return replace(fs, Jm=J)
+
+
+def _infinite_e2m(fs):
+    E = fs.E2m.copy()
+    E[0, 0] = np.inf
+    return replace(fs, E2m=E)
+
+
+def _info(routine):
+    """Patch under which the raw LAPACK routine reports info = 1."""
+    def patch(monkeypatch):
+        get = sla.get_lapack_funcs
+
+        def failing(names, *args, **kw):
+            f = get(names, *args, **kw)
+            return (lambda *a, **k: (*f(*a, **k)[:-1], 1)) if names == routine else f
+
+        monkeypatch.setattr(sla, "get_lapack_funcs", failing)
+    return patch
+
+
+def _raises(name):
+    """Patch under which sla.<name> raises LinAlgError."""
     def failing(*args, **kw):
         raise sla.LinAlgError("did not converge")
+    return lambda monkeypatch: monkeypatch.setattr(sla, name, failing)
 
-    monkeypatch.setattr(sla, "eig", failing)
-    with pytest.raises(EigensolveFailure,
-                       match=r"^companion eigensolve failed at xi = 2: did not converge$"):
-        companion_oracle(fs)
+
+UP = (preset_profile("linear-up"), SlabConfig(mu=0.01, g=1.0, k0=0.0, k1=0.0, L=1.0))
+RATE = "growth-rate fixed point at xi = 2: "
+ORACLE = "companion oracle at xi = 2: "
+NOT_PD = r"\d+-th leading minor of the array is not positive definite"
+NON_FINITE = "array must not contain infs or NaNs"
+
+
+@pytest.mark.parametrize("run, patch, message", [
+    # a negative density makes the J form indefinite, so the reduction fails
+    pytest.param(_growth_rate(constant_profile(-1.0), UP[1]), None, RATE + NOT_PD,
+                 id="growth-rate-cholesky"),
+    pytest.param(_oracle(*UP, _singular_jm), None, ORACLE + NOT_PD, id="oracle-cholesky"),
+    pytest.param(_growth_rate(*UP), _info("trtri"), RATE + "trtri info = 1",
+                 id="growth-rate-trtri"),
+    pytest.param(_oracle(*UP), _info("trtri"), ORACLE + "trtri info = 1", id="oracle-trtri"),
+    pytest.param(_oracle(*UP), _info("syevr"), ORACLE + "syevr info = 1", id="oracle-syevr"),
+    pytest.param(_growth_rate(*UP), _raises("eigh"), RATE + "did not converge",
+                 id="growth-rate-eigh"),
+    pytest.param(_oracle(*UP), _raises("eigh"), ORACLE + "did not converge", id="oracle-eigh"),
+    pytest.param(_oracle(preset_profile("linear-down"), INDEFINITE), _raises("eig"),
+                 ORACLE + "did not converge", id="oracle-eig"),
+    # s A1t overflows in the fixed point's second step: the pencil is not finite
+    pytest.param(_growth_rate(UP[0], replace(UP[1], k0=1e153)), None, RATE + NON_FINITE,
+                 id="growth-rate-non-finite"),
+    pytest.param(_oracle(*UP, _infinite_e2m), None, ORACLE + NON_FINITE, id="oracle-non-finite"),
+])
+def test_eigensolve_failure_names_stage_and_frequency(grid32, monkeypatch, run, patch, message):
+    if patch is not None:
+        patch(monkeypatch)
+    with pytest.raises(EigensolveFailure, match=f"^{message}$"):
+        run(grid32)
+
+
+@pytest.mark.parametrize("mu, g", [(0.01, 1e-40), (0.01, 1e-150), (0.01, 1e155), (0.01, 1e300),
+                                   (1e12, 1.0)])
+def test_symmetric_oracle_answers_slow_and_fast_rates(profile_up, grid32, mu, g):
+    # syevr resolves H's largest eigenvalue to 2 safmin, so its sign decides
+    # growth: a threshold at REAL_EIG_TOL * sqrt(|E2m| / |Jm|) answered None
+    # on each of these rates
+    ms = growth_rate(profile_up, SlabConfig(mu=mu, g=g, k0=0.0, k1=0.0, L=1.0), grid32, 2.0)
+    lam, v = companion_oracle(ms.forms)
+    assert lam == pytest.approx(ms.lam, rel=1e-11)
+    assert np.max(np.abs(v - ms.psi)) <= 1e-6 * np.max(np.abs(ms.psi))
 
 
 def test_complex_pair_grows_where_gm_is_indefinite(profile_down, grid64):
@@ -689,14 +736,6 @@ def test_growth_rate_step_cap_names_stage_and_frequency(profile_up, default_conf
     with pytest.raises(ConvergenceFailure,
                        match="growth-rate fixed point at xi = 2 did not converge in 1 steps"):
         growth_rate(profile_up, default_config, grid64, 2.0)
-
-
-def test_growth_rate_eigensolve_failure_names_stage_and_frequency(grid32):
-    # a negative density makes the J form indefinite, so the reduction fails
-    with pytest.raises(EigensolveFailure,
-                       match="growth-rate fixed point at xi = 2: pencil mass matrix "
-                             "is not positive definite"):
-        growth_rate(constant_profile(-1.0), SlabConfig(mu=0.01), grid32, 2.0)
 
 
 def test_grid_convergence_of_rate(profile_up, default_config):

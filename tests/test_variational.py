@@ -1,5 +1,7 @@
+import ast
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -393,8 +395,29 @@ def test_reduction_names_a_failed_triangular_inverse(monkeypatch):
     # trtri reports an exactly zero diagonal entry of L through info > 0
     monkeypatch.setattr(sla, "get_lapack_funcs", lambda names, arrays: lambda L, lower: (L, 2))
     with pytest.raises(EigensolveFailure,
-                       match=r"^Cholesky factor has no inverse: trtri info = 2$"):
+                       match=r"^pencil eigensolve: trtri info = 2$"):
         _ReducedPencil(np.eye(2), np.eye(2))
+
+
+def test_lapack_failures_are_converted_in_one_place():
+    # only variational._lapack reaches raw LAPACK routines or names
+    # LinAlgError, and the two eigen-paths hold no try block of their own
+    src = Path(__file__).resolve().parent.parent / "src" / "slabrt"
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        allowed = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name == "_lapack":
+                assert path.name == "variational.py"
+                allowed = {id(n) for n in ast.walk(node)}
+            if isinstance(node, ast.FunctionDef) and node.name in ("growth_rate",
+                                                                   "companion_oracle"):
+                assert not any(isinstance(n, ast.Try) for n in ast.walk(node)), node.name
+        for node in ast.walk(tree):
+            name = getattr(node, "id", None) or getattr(node, "attr", None) or (
+                node.name if isinstance(node, ast.alias) else None)
+            if name in ("get_lapack_funcs", "LinAlgError"):
+                assert id(node) in allowed, f"{path.name}:{node.lineno} names {name}"
 
 
 def test_rayleigh_fixed_point_rejects_nonnegative_alpha0():
