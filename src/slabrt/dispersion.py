@@ -236,7 +236,8 @@ def companion_oracle(fs: FormSet):
         return (float(vals[0]), red.mode(X[:m, 0])) if vals[0] > 0.0 else None
     vals = _lapack(what, sla.eig, H, right=False, overwrite_a=True)
     real = np.abs(vals.imag) <= REAL_EIG_TOL * (1.0 + np.abs(vals.real))
-    theta = np.sqrt(np.linalg.norm(fs.E2m) / np.linalg.norm(fs.Jm))
+    # Frobenius norms by BLAS nrm2, which scales rather than squares each entry
+    theta = np.sqrt(sla.norm(fs.E2m.ravel()) / sla.norm(fs.Jm.ravel()))
     good = real & (vals.real > REAL_EIG_TOL * theta)
     if not np.any(good):
         return None

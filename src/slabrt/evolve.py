@@ -67,12 +67,22 @@ class CrankNicolsonStepper:
             raise SingularStep("implicit matrix is numerically singular")
         self.K = sla.lu_solve(lu, np.hstack([B, np.diag(-gx2 * w_int)]))
 
+    def _update(self, Z: np.ndarray, W: np.ndarray) -> None:
+        """Moves the states [w; sigma] in the columns of Z a step on in place, the
+        columns of W = K Z holding their new velocities: sigma -= dt rho' (w + W) / 2, w = W."""
+        m = len(W)
+        Z[:m] += W
+        Z[:m] *= self.half_dt_drho[:, None]
+        Z[m:] -= Z[:m]
+        Z[:m] = W
+
     def step(self, state: EvolveState) -> EvolveState:
-        w_new = self.K @ np.concatenate((state.w, state.sigma))
+        z = np.concatenate((state.w, state.sigma))
+        w_new = self.K @ z
         if not np.isfinite(w_new).all():
             raise SingularStep(f"non-finite velocity at t = {state.t + self.dt:g}")
-        sigma_new = state.sigma - self.half_dt_drho * (state.w + w_new)
-        return EvolveState(t=state.t + self.dt, sigma=sigma_new, w=w_new)
+        self._update(z[:, None], w_new[:, None])
+        return EvolveState(t=state.t + self.dt, sigma=z[len(w_new):], w=w_new)
 
 
 def kinetic_energy(state: EvolveState, fs: FormSet) -> float:
@@ -80,20 +90,13 @@ def kinetic_energy(state: EvolveState, fs: FormSet) -> float:
     return 0.5 * float(state.w @ fs.Jm @ state.w)
 
 
-def _row(before: EvolveState, after: EvolveState, c: SlabConfig, fs: FormSet) -> tuple:
-    """The row (t, amplitude, energy, balance_residual) of `after`, one step
-    after `before`."""
-    z0, z1 = (np.concatenate((s.w, s.sigma))[None] for s in (before, after))
-    return _sampled_rows([before.t], z0, [after.t], z1, c, fs)[0]
-
-
-def _sampled_rows(t0, Z0, t1, Z1, c: SlabConfig, fs: FormSet) -> list:
-    """Rows (t, amplitude, energy, balance_residual) of the states [w; sigma]
-    in the rows of Z1, at times t1, each one step after the same row of Z0.
+def _sampled_rows(t0, t1, P: np.ndarray, c: SlabConfig, fs: FormSet) -> list:
+    """Rows (t, amplitude, energy, balance_residual) of the pairs of states
+    [w; sigma] in P: P[b, 1] at time t1[b], one step after P[b, 0] at t0[b].
     balance_residual is the O(dt^2) defect of the kinetic-energy identity,
     with the dissipation and coupling terms averaged over the step's ends,
     normalized by the largest of its three terms."""
-    m = Z0.shape[1] // 2
+    m = P.shape[2] // 2
     gw = (c.g * fs.xi * fs.xi) * fs.grid.w[1:-1]
 
     def energy_and_rates(Z):
@@ -103,7 +106,7 @@ def _sampled_rows(t0, Z0, t1, Z1, c: SlabConfig, fs: FormSet) -> list:
                 np.array([np.einsum("ij,ij->i", W @ fs.Gm, W),
                           np.einsum("ij,ij->i", Z[:, m:] * gw, W)]))
 
-    (e0, r0), (e1, r1) = energy_and_rates(Z0), energy_and_rates(Z1)
+    (e0, r0), (e1, r1) = energy_and_rates(P[:, 0]), energy_and_rates(P[:, 1])
     t0, t1 = np.asarray(t0), np.asarray(t1)
     terms = np.vstack([(e1 - e0) / (t1 - t0), 0.5 * (r1 + r0)])
     scale = np.abs(terms).max(axis=0)
@@ -123,17 +126,11 @@ def _checked(rows: list, steps) -> list:
 def _propagator_power(stepper: CrankNicolsonStepper, steps: int) -> np.ndarray:
     """The 2m x 2m map [w; sigma] -> [w; sigma] of `steps` steps, built by
     running the stepper's own arithmetic on the columns of the identity."""
-    m = stepper.K.shape[0]
-    Z = np.eye(2 * m)
+    Z = np.eye(stepper.K.shape[1])
     W = stepper.K.copy()  # K times the identity
-    h = stepper.half_dt_drho[:, None]
-    for i in range(steps):
-        if i:
-            np.matmul(stepper.K, Z, out=W)
-        Z[:m] += W
-        Z[:m] *= h
-        Z[m:] -= Z[:m]
-        Z[:m] = W
+    stepper._update(Z, W)
+    for _ in range(steps - 1):
+        stepper._update(Z, np.matmul(stepper.K, Z, out=W))
     return Z
 
 
@@ -189,8 +186,7 @@ def simulate(c: SlabConfig, fs: FormSet, w0: np.ndarray, sigma0: np.ndarray,
                     ts = [state.t]
                     for _ in range(nb * k):
                         ts.append(ts[-1] + dt)  # as the steps sum it, so the t column is the same
-                    ts0, ts1 = ts[k - 1::k], ts[k::k]
-                    rows += _checked(_sampled_rows(ts0, pairs[:, 0], ts1, pairs[:, 1], c, fs),
+                    rows += _checked(_sampled_rows(ts[k - 1::k], ts[k::k], pairs, c, fs),
                                      range(i + k, nsteps + 1, k))
                     Z[0] = Z[nb]
                     state = EvolveState(t=ts[-1], sigma=Z[0, 1, m:].copy(), w=Z[0, 1, :m].copy())
@@ -202,18 +198,15 @@ def simulate(c: SlabConfig, fs: FormSet, w0: np.ndarray, sigma0: np.ndarray,
             for _ in range(j - i - 1):
                 prev = stepper.step(prev)
             state, i = stepper.step(prev), j
-            rows += _checked([_row(prev, state, c, fs)], [i])
-            if R is not None:
-                Z[0] = [np.concatenate((s.w, s.sigma)) for s in (prev, state)]
+            Z[0] = [np.concatenate((s.w, s.sigma)) for s in (prev, state)]
+            rows += _checked(_sampled_rows([prev.t], [state.t], Z[:1], c, fs), [i])
     state.history = [row[:2] for row in rows]
     return SimulationResult(state=state, rows=rows)
 
 
-def mode_initial_state(ms, amplitude_scale: float = 1e-6):
-    """Initial data proportional to a computed mode: w = lam psi, sigma = -rho' psi."""
-    w0 = ms.lam * ms.psi * amplitude_scale
-    sigma0 = -ms.forms.drho_nodes[1:-1] * ms.psi * amplitude_scale
-    return w0, sigma0
+def mode_initial_state(ms):
+    """Initial data 1e-6 times a computed mode: w = lam psi, sigma = -rho' psi."""
+    return ms.lam * ms.psi * 1e-6, -ms.forms.drho_nodes[1:-1] * ms.psi * 1e-6
 
 
 def fit_growth_rate(history) -> float:

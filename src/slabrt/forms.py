@@ -32,7 +32,7 @@ class FormSet:
         v' E2m v = g xi^2 int rho' psi^2
         v' Gm  v = v' E0 v + xi^2 mu int (2 |psi'|^2 + xi^2 psi^2)
         v' Jm  v = int rho (xi^2 psi^2 + |psi'|^2)
-    with E0 the xi-independent dissipation form of _dissipation_matrix.
+    with E0 the xi-independent dissipation form of _slab_grams.
     slope_traces(grid) maps interior values to psi'(0) / psi'(1).
     The grid and rho, rho' at its nodes (read-only) serve diagnostics.
     """
@@ -84,24 +84,31 @@ def wall_matrices(c: SlabConfig, g: SpectralGrid) -> tuple[np.ndarray, np.ndarra
     return c.k0 * np.outer(t0, t0), c.k1 * np.outer(t1, t1)
 
 
-def _dissipation_matrix(c: SlabConfig, g: SpectralGrid, K2: np.ndarray) -> np.ndarray:
-    """Interior matrix E0 of int mu |psi''|^2 - k1 |psi'(1)|^2 - k0 |psi'(0)|^2 (K2: curvature)."""
-    W0, W1 = wall_matrices(c, g)
-    return c.mu * K2 - W1 - W0
+@functools.lru_cache(maxsize=1)
+def _slab_grams(c: SlabConfig, g: SpectralGrid) -> tuple:
+    """Read-only forms of c on g that depend on neither xi nor the profile,
+    kept for the latest pair (c hashes by value, g by identity): the
+    dissipation form E0 of int mu |psi''|^2 - k1 |psi'(1)|^2 - k0 |psi'(0)|^2
+    (inf where it overflows) and the interior gradient and mass Grams."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        W0, W1 = wall_matrices(c, g)
+        E0 = c.mu * curvature_matrix(g) - W1 - W0
+        del W0, W1  # E0's temporaries go before any other Gram is built
+    out = (E0, gradient_matrix(g), mass_matrix(g))
+    for A in out:
+        A.flags.writeable = False
+    return out
 
 
 @functools.lru_cache(maxsize=1)
 def _grams(p: DensityProfile, c: SlabConfig, g: SpectralGrid) -> tuple:
     """Read-only xi-independent data of (p, c) on g, kept for the latest triple
-    (p and g hash by identity, c by value): the dissipation form E0 (inf where
-    it overflows), the interior Grams gradient, mass, rho-weighted gradient,
-    rho-weighted mass, rho'-weighted mass, then copies of rho and rho' at the
-    nodes (freezing them leaves p's arrays alone)."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        E0 = _dissipation_matrix(c, g, curvature_matrix(g))
-    out = (E0, gradient_matrix(g), mass_matrix(g),
-           gradient_matrix(g, p.rho), mass_matrix(g, p.rho), mass_matrix(g, p.drho),
-           np.array(p.rho(g.nodes), dtype=float), np.array(p.drho(g.nodes), dtype=float))
+    (p and g hash by identity, c by value): the forms of _slab_grams, built first,
+    the interior Grams rho-weighted gradient, rho-weighted mass, rho'-weighted mass,
+    then rho and rho' at the nodes (copies: freezing them leaves p's arrays alone)."""
+    out = _slab_grams(c, g) + (
+        gradient_matrix(g, p.rho), mass_matrix(g, p.rho), mass_matrix(g, p.drho),
+        np.array(p.rho(g.nodes), dtype=float), np.array(p.drho(g.nodes), dtype=float))
     for A in out:
         A.flags.writeable = False
     return out

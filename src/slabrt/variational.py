@@ -20,12 +20,10 @@ import scipy.linalg as sla
 from .errors import ConvergenceFailure, EigensolveFailure, NoRTPoint, NoSignChange
 from .forms import (
     FormSet,
-    _dissipation_matrix,
+    _slab_grams,
     assemble_forms,
     c0_constant,
     curvature_matrix,
-    gradient_matrix,
-    mass_matrix,
     wall_matrices,
 )
 from .grid import SpectralGrid
@@ -226,9 +224,8 @@ def critical_frequency(c: SlabConfig, grid: SpectralGrid) -> float:
     """
     if c.mu >= critical_viscosity_closed_form(c):
         return 0.0
-    negE0 = -_dissipation_matrix(c, grid, curvature_matrix(grid))
-    muK1 = c.mu * gradient_matrix(grid)
-    muM = c.mu * mass_matrix(grid)
+    E0, K1, M = _slab_grams(c, grid)
+    negE0, muK1, muM = -E0, c.mu * K1, c.mu * M
 
     def coefficients(t: float):
         _, v = pencil_extreme(negE0, 2.0 * muK1 + t * muM)

@@ -506,6 +506,14 @@ def test_symmetric_oracle_answers_slow_and_fast_rates(profile_up, grid32, mu, g)
     assert np.max(np.abs(v - ms.psi)) <= 1e-6 * np.max(np.abs(ms.psi))
 
 
+def test_nonsymmetric_oracle_threshold_does_not_overflow(profile_down, grid32):
+    # E2m's entries near 1e300 squared overflowed the Frobenius norm in the
+    # threshold, a RuntimeWarning here; both paths answer None
+    c = replace(INDEFINITE, g=1e300)
+    assert companion_oracle(assemble_forms(profile_down, c, grid32, 2.0)) is None
+    assert growth_rate(profile_down, c, grid32, 2.0) is None
+
+
 def test_complex_pair_grows_where_gm_is_indefinite(profile_down, grid64):
     # just below xi_c no real eigenvalue grows, yet a complex pair does
     # (0.3396 +- 0.5162i, the same at n = 32 and 128), so the frequency
@@ -674,12 +682,12 @@ def test_scan_iterations_per_frequency(profile_up, default_config, grid64):
 
 def test_scan_builds_the_dissipation_form_once(profile_up, default_config, grid64,
                                                monkeypatch):
-    # E0 is cached with the Grams, so 69 frequencies build it once
+    # E0 is cached with the Grams, so 69 frequencies build its curvature Gram once
     calls = []
-    build = slabrt.forms._dissipation_matrix
-    monkeypatch.setattr(slabrt.forms, "_dissipation_matrix",
-                        lambda *a: calls.append(1) or build(*a))
+    build = slabrt.forms.curvature_matrix
+    monkeypatch.setattr(slabrt.forms, "curvature_matrix", lambda g: calls.append(1) or build(g))
     slabrt.forms._grams.cache_clear()
+    slabrt.forms._slab_grams.cache_clear()
     res = scan_band(profile_up, default_config, grid64, (0.0, 10.0), 64)
     assert len(res.samples) == 2 * 69
     assert len(calls) == 1
@@ -742,6 +750,12 @@ def test_grid_convergence_of_rate(profile_up, default_config):
     lam64 = growth_rate(profile_up, default_config, build_grid(64), 2.0).lam
     lam128 = growth_rate(profile_up, default_config, build_grid(128), 2.0).lam
     assert abs(lam64 - lam128) / lam128 <= 1e-8
+
+
+def test_scan_rejects_an_invalid_band(profile_up, default_config, grid32):
+    for band in ((2.0, 1.0), (1.0, 1.0)):
+        with pytest.raises(ValueError, match=rf"^invalid band \({band[0]}, {band[1]}\)$"):
+            scan_band(profile_up, default_config, grid32, band, 8)
 
 
 def test_scan_lattice_arithmetic(profile_up, default_config, grid64):

@@ -1,4 +1,6 @@
+import ast
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from slabrt import (
     simulate,
 )
 from slabrt.errors import InsufficientGrowth, SingularStep
+from slabrt.forms import FormSet
 
 
 def test_state_holds_only_time_fields_and_history():
@@ -70,11 +73,17 @@ def test_pure_dissipation_energy_monotone(profile_up, grid64, rng):
         assert b <= a * (1.0 + 1e-13)
 
 
+def _row(before, after, c, fs):
+    """The row (t, amplitude, energy, balance_residual) of `after`, one step after `before`."""
+    pair = np.array([[np.concatenate((s.w, s.sigma)) for s in (before, after)]])
+    return slabrt.evolve._sampled_rows([before.t], [after.t], pair, c, fs)[0]
+
+
 def test_balance_residual_zero_state(profile_up, default_config, grid64):
     fs = assemble_forms(profile_up, default_config, grid64, 2.0)
     z = EvolveState(t=0.0, sigma=np.zeros(grid64.n - 2), w=np.zeros(grid64.n - 2))
     z2 = CrankNicolsonStepper(default_config, fs, 1e-3).step(z)
-    assert slabrt.evolve._row(z, z2, default_config, fs)[3] == 0.0
+    assert _row(z, z2, default_config, fs)[3] == 0.0
 
 
 def _per_step_rows(c, fs, w0, sigma0, dt, nsteps, sample_every):
@@ -88,7 +97,7 @@ def _per_step_rows(c, fs, w0, sigma0, dt, nsteps, sample_every):
         if i % sample_every == 0 or i == nsteps:
             e = kinetic_energy(state, fs)
             rows.append((state.t, np.sqrt(2.0 * e), e,
-                         slabrt.evolve._row(prev, state, c, fs)[3]))
+                         _row(prev, state, c, fs)[3]))
     return rows, state
 
 
@@ -141,6 +150,34 @@ def test_non_finite_chain_falls_back_to_plain_steps(profile_up, default_config, 
                         lambda self, state: calls.append(1) or step(self, state))
     test_simulate_matches_per_step_loop(profile_up, default_config, grid32, 10)
     assert len(calls) == 2 * 4005  # simulate's steps, then the per-step loop's
+
+
+def test_exactly_singular_implicit_matrix_is_refused(grid32):
+    # Jm = Gm = 0 and rho' = 0 make the implicit matrix zero: its LU meets an
+    # exactly zero pivot, which scipy warns of, and the stepper refuses it
+    zero = np.zeros((grid32.n - 2, grid32.n - 2))
+    fs = FormSet(xi=1.0, E2m=zero, Gm=zero, Jm=zero, grid=grid32,
+                 rho_nodes=np.ones(grid32.n), drho_nodes=np.zeros(grid32.n))
+    with pytest.warns(sla.LinAlgWarning), pytest.raises(
+            SingularStep, match="^implicit matrix is numerically singular$"):
+        CrankNicolsonStepper(SlabConfig(mu=1.0), fs, 1e-3)
+
+
+def test_trapezoidal_update_is_written_once():
+    # outside __init__ only CrankNicolsonStepper._update reads half_dt_drho,
+    # so step and _propagator_power share one sigma update
+    src = Path(slabrt.evolve.__file__).resolve().parent
+    uses, total = [], 0
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        total += sum(isinstance(n, ast.Attribute) and n.attr == "half_dt_drho"
+                     for n in ast.walk(tree))
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef):
+                uses += [(path.name, fn.name, type(n.ctx).__name__) for n in ast.walk(fn)
+                         if isinstance(n, ast.Attribute) and n.attr == "half_dt_drho"]
+    assert uses == [("evolve.py", "__init__", "Store"), ("evolve.py", "_update", "Load")]
+    assert total == len(uses)  # none outside a function
 
 
 def test_simulate_rejects_sample_every_below_one(profile_up, default_config, grid32):
@@ -253,7 +290,7 @@ def test_balance_residual_second_order(default_mode, default_config):
     # Richardson check above the cancellation floor: halving dt divides the
     # defect by ~4
     fs = default_mode.forms
-    w0, s0 = mode_initial_state(default_mode, amplitude_scale=1e-3)
+    w0, s0 = mode_initial_state(default_mode)
     res = {}
     for dt in (8e-3, 4e-3, 2e-3):
         sim = simulate(default_config, fs, w0, s0, dt, 0.4, sample_every=1)

@@ -17,7 +17,8 @@ from slabrt import (
 from slabrt.errors import ZeroFrequency
 from slabrt.forms import (
     FormSet,
-    _dissipation_matrix,
+    _grams,
+    _slab_grams,
     curvature_matrix,
     gradient_matrix,
     mass_matrix,
@@ -86,10 +87,22 @@ def test_node_density_sampled_once_per_profile_and_grid(default_config, grid64):
     assert np.array_equal(fs1.drho_nodes, base.drho(grid64.nodes))
 
 
+def test_slab_grams_are_shared_by_every_profile(default_config, grid64):
+    # E0, K1 and M depend on neither xi nor the profile: each profile's Grams
+    # on one slab and grid hold the very arrays critical_frequency reads
+    slab = _slab_grams(default_config, grid64)
+    for name in ("linear-up", "exp"):
+        held = _grams(preset_profile(name), default_config, grid64)
+        assert all(a is b for a, b in zip(held, slab))
+    assert not any(A.flags.writeable for A in slab)
+    assert np.array_equal(slab[1], gradient_matrix(grid64))
+    assert np.array_equal(slab[2], mass_matrix(grid64))
+
+
 def test_e0_parabola(grid32):
     # psi'' = -2 so E0 = int 4 = 4 with free-slip walls
     c = SlabConfig(mu=1.0, g=1.0, k0=0.0, k1=0.0, L=1.0)
-    E0 = _dissipation_matrix(c, grid32, curvature_matrix(grid32))
+    E0 = _slab_grams(c, grid32)[0]
     v = interior_parabola(grid32)
     assert v @ E0 @ v == pytest.approx(4.0, abs=1e-10)
 
@@ -127,7 +140,7 @@ def test_slip_terms_in_e0(grid32):
     t0, t1 = slope_traces(grid32)
     assert t0 @ v == pytest.approx(1.0, abs=1e-11)
     assert t1 @ v == pytest.approx(-1.0, abs=1e-11)
-    E0 = _dissipation_matrix(c, grid32, curvature_matrix(grid32))
+    E0 = _slab_grams(c, grid32)[0]
     assert v @ E0 @ v == pytest.approx(4.0 - 3.0 * 1.0 - 2.0 * 1.0, abs=1e-10)
     # Gm carries the same wall terms: xi^2 E1 = 2/3 + 1/30 at mu = xi = 1
     fs = assemble_forms(constant_profile(1.0), c, grid32, 1.0)
@@ -136,7 +149,7 @@ def test_slip_terms_in_e0(grid32):
 
 def test_matrices_symmetric(profile_exp, default_config, grid64):
     fs = assemble_forms(profile_exp, default_config, grid64, 1.7)
-    E0 = _dissipation_matrix(default_config, grid64, curvature_matrix(grid64))
+    E0 = _slab_grams(default_config, grid64)[0]
     E1 = default_config.mu * (2.0 * gradient_matrix(grid64) + 1.7**2 * mass_matrix(grid64))
     for A in (E0, E1, fs.E2m, fs.Gm, fs.Jm):
         assert np.array_equal(A, A.T)
@@ -144,7 +157,7 @@ def test_matrices_symmetric(profile_exp, default_config, grid64):
 
 def test_g_is_e0_plus_xi2_e1(profile_up, default_config, grid64):
     fs = assemble_forms(profile_up, default_config, grid64, 2.5)
-    E0 = _dissipation_matrix(default_config, grid64, curvature_matrix(grid64))
+    E0 = _slab_grams(default_config, grid64)[0]
     E1 = default_config.mu * (2.0 * gradient_matrix(grid64) + 2.5**2 * mass_matrix(grid64))
     assert np.array_equal(fs.Gm, E0 + 2.5**2 * E1)
 

@@ -110,6 +110,11 @@ def test_tabulated_requires_increasing_cover():
         tabulated_profile(y, 1 + y)
 
 
+def test_tabulated_rejects_columns_of_unequal_length():
+    with pytest.raises(ValueError, match="^y and rho columns differ in length$"):
+        tabulated_profile(np.linspace(0, 1, 10), np.ones(9))
+
+
 def test_tabulated_interpolates_smooth_data():
     y = np.linspace(0, 1, 20)
     p = tabulated_profile(y, np.exp(y))
@@ -126,6 +131,17 @@ def test_profile_from_csv(tmp_path):
     p = profile_from_csv(path)
     assert np.max(np.abs(p.rho(y) - (1 + y**2))) <= 1e-12
     assert validate_profile(p).rt_condition
+
+
+def test_profile_from_csv_skips_blank_rows(tmp_path):
+    # an empty line, a blank y field and the header after blank lines are not data
+    y = np.linspace(0, 1, 12)
+    rows = [f"{yi},{1 + yi**2}" for yi in y]
+    plain, spaced = tmp_path / "plain.csv", tmp_path / "spaced.csv"
+    plain.write_text("\n".join(["y,rho"] + rows) + "\n")
+    spaced.write_text("\n".join(["", "  ,", "y,rho"] + rows[:6] + ["", " "] + rows[6:]) + "\n")
+    xs = np.linspace(0, 1, 41)
+    assert np.array_equal(profile_from_csv(spaced).rho(xs), profile_from_csv(plain).rho(xs))
 
 
 def test_slab_config_invariants():

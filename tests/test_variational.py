@@ -1,4 +1,5 @@
 import ast
+import sys
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
+import slabrt.forms
 from slabrt import (
     DensityProfile,
     SlabConfig,
@@ -20,6 +22,7 @@ from slabrt import (
     critical_viscosity_closed_form,
     critical_viscosity_numerical,
     frak_S,
+    growth_rate,
     preset_profile,
     upper_bound_constants,
 )
@@ -184,6 +187,34 @@ def test_critical_frequency_just_below_mu_c(grid32):
               for d in (1e-4, 1e-6)]
     assert slopes[1] == pytest.approx(slopes[0], rel=1e-3)
     assert slopes[0] == pytest.approx(16.08, rel=1e-3)
+
+
+def test_critical_numbers_and_rates_build_each_unweighted_gram_once(monkeypatch):
+    # the crosscheck physics: critical_frequency reads E0, K1 and M from the
+    # cache the rates use, so K2, K1 and M are built once each; the builders
+    # are counted in every slabrt module that binds them
+    builds = []
+    modules = [m for key, m in sys.modules.items() if key.split(".")[0] == "slabrt"]
+    for name in ("curvature_matrix", "gradient_matrix", "mass_matrix"):
+        build = getattr(slabrt.forms, name)
+
+        def counted(g, *weight, name=name, build=build):
+            if not weight:
+                builds.append(name)
+            return build(g, *weight)
+
+        for mod in modules:
+            if getattr(mod, name, None) is build:
+                monkeypatch.setattr(mod, name, counted)
+    slabrt.forms._grams.cache_clear()
+    slabrt.forms._slab_grams.cache_clear()
+    p = preset_profile("tanh-layer", y_c=0.5, w=0.05)
+    c = SlabConfig(mu=0.02, g=1.0, k0=0.5, k1=1.0, L=1.0)
+    grid = build_grid(192)
+    assert compute_critical_numbers(p, c, grid).xi_c > 0.0
+    for xi in (1.0, 2.0, 4.0, 8.0):
+        assert growth_rate(p, c, grid, xi) is not None
+    assert sorted(builds) == ["curvature_matrix", "gradient_matrix", "mass_matrix"]
 
 
 def test_upper_bound_constants_positive(profile_up, default_config, grid128):
@@ -418,6 +449,14 @@ def test_lapack_failures_are_converted_in_one_place():
                 node.name if isinstance(node, ast.alias) else None)
             if name in ("get_lapack_funcs", "LinAlgError"):
                 assert id(node) in allowed, f"{path.name}:{node.lineno} names {name}"
+
+
+def test_variational_builds_no_slab_form():
+    # forms._slab_grams alone composes E0 and builds K1 and M for critical_frequency
+    path = Path(__file__).resolve().parent.parent / "src" / "slabrt" / "variational.py"
+    names = {getattr(n, "id", None) or getattr(n, "attr", None) or getattr(n, "name", None)
+             for n in ast.walk(ast.parse(path.read_text()))}
+    assert not names & {"_dissipation_matrix", "gradient_matrix", "mass_matrix"}
 
 
 def test_rayleigh_fixed_point_rejects_nonnegative_alpha0():
