@@ -10,13 +10,13 @@ import scipy.linalg as sla
 
 from .errors import ConvergenceFailure, EmptyBand, NonPositiveHorizon
 from .forms import FormSet, assemble_forms
-from .grid import SpectralGrid
+from .grid import SpectralGrid, _binary_exponent
 from .profiles import DensityProfile, SlabConfig
 from .variational import (
-    _fix_sign,
     _lapack,
     _rayleigh_fixed_point,
     _ReducedPencil,
+    _unit,
     critical_viscosity_closed_form,
 )
 
@@ -141,7 +141,7 @@ def growth_rate(p: DensityProfile, c: SlabConfig, grid: SpectralGrid,
 def _wnorm(w: np.ndarray, f: np.ndarray) -> float:
     """sqrt(w' f^2) with f scaled by 2^-e ~ 1 / max|f| first, which is exact, so no
     square overflows and a norm whose squares stay normal keeps every bit."""
-    e = int(np.frexp(np.max(np.abs(f)))[1])
+    e = _binary_exponent(f)
     fs = np.ldexp(f, -e)
     return float(np.ldexp(np.sqrt(w @ (fs * fs)), e))
 
@@ -234,19 +234,20 @@ def companion_oracle(fs: FormSet):
         vals, X, _, _ = _lapack(what, "syevr", H, range="I", il=2 * m, iu=2 * m, lower=1,
                                 abstol=2 * np.finfo(float).tiny, overwrite_a=1)
         return (float(vals[0]), red.mode(X[:m, 0])) if vals[0] > 0.0 else None
-    vals = _lapack(what, sla.eig, H, right=False, overwrite_a=True)
-    real = np.abs(vals.imag) <= REAL_EIG_TOL * (1.0 + np.abs(vals.real))
+    e = _binary_exponent(H)  # geev's own, inexact scaling lost the rate at |H| = 2e143
+    vals = _lapack(what, sla.eig, np.ldexp(H, -e, out=H), right=False, overwrite_a=True)
+    re, im = np.ldexp(vals.real, e), np.ldexp(vals.imag, e)
+    real = np.abs(im) <= REAL_EIG_TOL * (1.0 + np.abs(re))
     # Frobenius norms by BLAS nrm2, which scales rather than squares each entry
     theta = np.sqrt(sla.norm(fs.E2m.ravel()) / sla.norm(fs.Jm.ravel()))
-    good = real & (vals.real > REAL_EIG_TOL * theta)
+    good = real & (re > REAL_EIG_TOL * theta)
     if not np.any(good):
         return None
-    lam = float(np.max(vals.real[good]))
+    lam = float(np.max(re[good]))
     # at the largest real root P(lam) is positive semidefinite, so its
     # smallest eigenvector is the null direction
     P = lam * lam * fs.Jm + lam * fs.Gm - fs.E2m
-    v = _lapack(what, sla.eigh, P, subset_by_index=[0, 0])[1][:, 0]
-    return lam, _fix_sign(v / np.sqrt(v @ fs.Jm @ v))
+    return lam, _unit(_lapack(what, sla.eigh, P, subset_by_index=[0, 0])[1][:, 0], fs.Jm)
 
 
 def _linearization(fs: FormSet, what: str) -> tuple[np.ndarray, bool, _ReducedPencil]:

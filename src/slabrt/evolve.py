@@ -30,6 +30,7 @@ import scipy.linalg as sla
 
 from .errors import InsufficientGrowth, SingularStep
 from .forms import FormSet
+from .grid import _binary_exponent
 from .profiles import SlabConfig
 
 
@@ -205,8 +206,11 @@ def simulate(c: SlabConfig, fs: FormSet, w0: np.ndarray, sigma0: np.ndarray,
 
 
 def mode_initial_state(ms):
-    """Initial data 1e-6 times a computed mode: w = lam psi, sigma = -rho' psi."""
-    return ms.lam * ms.psi * 1e-6, -ms.forms.drho_nodes[1:-1] * ms.psi * 1e-6
+    """Initial data 1e-6 times a computed mode: w = lam psi, sigma = -rho' psi; where (1e-6 lam)^2
+    is not a normal float, 2^-20 / lam times it, so that the energy does not underflow."""
+    if (1e-6 * ms.lam) ** 2 >= np.finfo(float).tiny:
+        return ms.lam * ms.psi * 1e-6, -ms.forms.drho_nodes[1:-1] * ms.psi * 1e-6
+    return ms.psi * 2.0**-20, -ms.forms.drho_nodes[1:-1] * ms.psi * 2.0**-20 / ms.lam
 
 
 def fit_growth_rate(history) -> float:
@@ -225,5 +229,6 @@ def fit_growth_rate(history) -> float:
     if a.max() / a.min() < np.e:
         raise InsufficientGrowth("amplitude changed by less than one e-fold")
     k = len(hist) // 2
-    slope, _ = np.polyfit(t[k:], np.log(a[k:]), 1)
-    return float(slope)
+    e = _binary_exponent(t[k:])  # t 2^-e is exact, and polyfit's t^2 stays finite
+    slope, _ = np.polyfit(np.ldexp(t[k:], -e), np.log(a[k:]), 1)
+    return float(np.ldexp(slope, -e))

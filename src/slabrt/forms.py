@@ -84,6 +84,13 @@ def wall_matrices(c: SlabConfig, g: SpectralGrid) -> tuple[np.ndarray, np.ndarra
     return c.k0 * np.outer(t0, t0), c.k1 * np.outer(t1, t1)
 
 
+def _frozen(*arrays: np.ndarray) -> tuple:
+    """The arrays as a tuple, each made read-only in place."""
+    for A in arrays:
+        A.flags.writeable = False
+    return arrays
+
+
 @functools.lru_cache(maxsize=1)
 def _slab_grams(c: SlabConfig, g: SpectralGrid) -> tuple:
     """Read-only forms of c on g that depend on neither xi nor the profile,
@@ -94,10 +101,7 @@ def _slab_grams(c: SlabConfig, g: SpectralGrid) -> tuple:
         W0, W1 = wall_matrices(c, g)
         E0 = c.mu * curvature_matrix(g) - W1 - W0
         del W0, W1  # E0's temporaries go before any other Gram is built
-    out = (E0, gradient_matrix(g), mass_matrix(g))
-    for A in out:
-        A.flags.writeable = False
-    return out
+    return _frozen(E0, gradient_matrix(g), mass_matrix(g))
 
 
 @functools.lru_cache(maxsize=1)
@@ -106,12 +110,9 @@ def _grams(p: DensityProfile, c: SlabConfig, g: SpectralGrid) -> tuple:
     (p and g hash by identity, c by value): the forms of _slab_grams, built first,
     the interior Grams rho-weighted gradient, rho-weighted mass, rho'-weighted mass,
     then rho and rho' at the nodes (copies: freezing them leaves p's arrays alone)."""
-    out = _slab_grams(c, g) + (
+    return _slab_grams(c, g) + _frozen(
         gradient_matrix(g, p.rho), mass_matrix(g, p.rho), mass_matrix(g, p.drho),
         np.array(p.rho(g.nodes), dtype=float), np.array(p.drho(g.nodes), dtype=float))
-    for A in out:
-        A.flags.writeable = False
-    return out
 
 
 def assemble_forms(p: DensityProfile, c: SlabConfig, g: SpectralGrid, xi: float) -> FormSet:

@@ -90,17 +90,12 @@ def clenshaw_curtis_weights(n: int) -> np.ndarray:
     """Clenshaw-Curtis weights on [0, 1] for the n Lobatto nodes (sum = 1)."""
     N = n - 1
     theta = np.pi * np.arange(n) / N
-    w = np.empty(n)
     v = np.ones(n - 2)
+    for k in range(1, (N + 1) // 2):
+        v -= 2.0 * np.cos(2.0 * k * theta[1:-1]) / (4 * k * k - 1)
     if N % 2 == 0:
-        w[0] = w[-1] = 1.0 / (N * N - 1)
-        for k in range(1, N // 2):
-            v -= 2.0 * np.cos(2.0 * k * theta[1:-1]) / (4 * k * k - 1)
         v -= np.cos(N * theta[1:-1]) / (N * N - 1)
-    else:
-        w[0] = w[-1] = 1.0 / (N * N)
-        for k in range(1, (N - 1) // 2 + 1):
-            v -= 2.0 * np.cos(2.0 * k * theta[1:-1]) / (4 * k * k - 1)
+    w = np.full(n, 1.0 / (N * N if N % 2 else N * N - 1))
     w[1:-1] = 2.0 * v / N
     return 0.5 * w
 
@@ -138,6 +133,11 @@ def _interpolation_matrix(nodes: np.ndarray, bary_w: np.ndarray, x) -> np.ndarra
     R[hit_i, :] = 0.0
     R[hit_i, hit_j] = 1.0
     return R
+
+
+def _binary_exponent(x) -> int:
+    """e with 2^(e-1) <= max|x| < 2^e, 0 for zeros: x 2^-e is exact barring underflow."""
+    return int(np.frexp(np.max(np.abs(x)))[1])
 
 
 def barycentric_eval(nodes: np.ndarray, bary_w: np.ndarray, values: np.ndarray, x) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Steady density profiles on [0, 1]."""
 
 import csv
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -131,13 +132,8 @@ def tabulated_profile(y: np.ndarray, rho_values: np.ndarray) -> DensityProfile:
     bw = barycentric_weights(y)
     dr = differentiation_matrix(y, bw) @ r
 
-    def rho_fn(t):
-        return barycentric_eval(y, bw, r, t)
-
-    def drho_fn(t):
-        return barycentric_eval(y, bw, dr, t)
-
-    return DensityProfile(rho_fn, drho_fn)
+    return DensityProfile(functools.partial(barycentric_eval, y, bw, r),
+                          functools.partial(barycentric_eval, y, bw, dr))
 
 
 def profile_from_csv(path) -> DensityProfile:

@@ -21,6 +21,7 @@ from .errors import ConvergenceFailure, EigensolveFailure, NoRTPoint, NoSignChan
 from .forms import (
     FormSet,
     _slab_grams,
+    _sym,
     assemble_forms,
     c0_constant,
     curvature_matrix,
@@ -45,7 +46,9 @@ class CriticalNumbers:
     band: tuple[float, float]
 
 
-def _fix_sign(v: np.ndarray) -> np.ndarray:
+def _unit(v: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """v scaled to v' B v = 1 and signed so that its largest-magnitude entry is positive."""
+    v = v / np.sqrt(v @ B @ v)
     i = int(np.argmax(np.abs(v)))
     return -v if v[i] < 0 else v
 
@@ -89,24 +92,17 @@ class _ReducedPencil:
         self.L = _lapack(what, sla.cholesky, B, lower=True)
         Li, = _lapack(what, "trtri", self.L, lower=1)
         self.B = B
-        self.A1t = self._congruence(Li, A1)
-        self.A0t = None if A0 is None else self._congruence(Li, A0)
-
-    @staticmethod
-    def _congruence(Li: np.ndarray, A: np.ndarray) -> np.ndarray:
-        """Li A Li' for symmetric A, symmetrized."""
-        Z = Li @ A @ Li.T
-        return 0.5 * (Z + Z.T)
+        self.A1t = _sym(Li @ A1 @ Li.T)
+        self.A0t = None if A0 is None else _sym(Li @ A0 @ Li.T)
 
     def _at(self, s: float) -> np.ndarray:
         return self.A1t if self.A0t is None else s * self.A1t - self.A0t
 
     def mode(self, u: np.ndarray) -> np.ndarray:
-        """Eigenvector L^{-T} u of a reduced one u, B-normalized and signed by _fix_sign.
+        """Eigenvector L^{-T} u of a reduced one u, made a unit vector by _unit.
         L and u come from checked LAPACK calls, so the solve checks no input."""
-        v = _lapack(self.what, sla.solve_triangular, self.L, u, lower=True, trans="T",
-                    check_finite=False)
-        return _fix_sign(v / np.sqrt(v @ self.B @ v))
+        return _unit(_lapack(self.what, sla.solve_triangular, self.L, u, lower=True,
+                             trans="T", check_finite=False), self.B)
 
     def pair(self, s: float = 1.0, largest: bool = False):
         """Extreme eigenpair at s, the vector as from mode."""

@@ -369,6 +369,23 @@ def test_evolve_overflow_exits_4_naming_step(tmp_path, capsys):
     assert err == "error: amplitude overflows at step 9310, t = 931\n"
 
 
+@pytest.mark.parametrize("args", [["--xi", "2", "--g", "1e-300"], ["--xi", "1e-150"]],
+                         ids=["g-1e-300", "xi-1e-150"])
+def test_evolve_fits_rates_near_1e_300(tmp_path, capsys, args):
+    # rates near 1e-300: 1e-6 lam psi would start from an energy that underflows,
+    # and polyfit would square times near 5e297; the run starts from 2^-20 psi
+    # and fits against exactly scaled times
+    out = tmp_path / "ev-slow"
+    assert main(["evolve", "--config", str(CONFIGS / "default.ini"), "--out", str(out),
+                 "--n", "16", *args]) == 0
+    assert capsys.readouterr().err == ""
+    payload = validate_file(out / "fit.json", "evolve_fit.schema.json")
+    assert payload["lambda_variational"] < 1e-299
+    assert payload["rel_diff"] <= 1e-6
+    energy = np.loadtxt(out / "trajectory.csv", delimiter=",", skiprows=1)[:, 2]
+    assert np.all(energy >= np.finfo(float).tiny) and np.all(np.isfinite(energy))
+
+
 def test_escape_scans_for_lambda(tmp_path):
     # without --Lambda, escape takes the lattice supremum of the scan
     cfg = str(CONFIGS / "default.ini")

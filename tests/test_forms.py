@@ -1,4 +1,6 @@
+import ast
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -213,3 +215,17 @@ def test_c0_matches_direct_maximum(rng):
         c = SlabConfig(mu=mu, k0=k0, k1=k1)
         direct = np.max(np.abs(k0 + k1) + ((k0 + k1) * ys - k0) ** 2 / mu)
         assert c0_constant(c) == pytest.approx(direct, rel=1e-7)
+
+
+def test_only_frozen_sets_the_writeable_flag():
+    # forms._frozen makes every cached array read-only
+    src = Path(__file__).resolve().parent.parent / "src" / "slabrt"
+    where = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        frozen = {id(n) for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+                  and fn.name == "_frozen" for n in ast.walk(fn)}
+        where += [(path.name, id(n) in frozen) for n in ast.walk(tree)
+                  if isinstance(n, ast.Attribute) and n.attr == "writeable"
+                  and isinstance(n.ctx, ast.Store)]
+    assert where == [("forms.py", True)]

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -5,9 +8,11 @@ from slabrt import build_grid
 from slabrt.errors import GridTooSmall
 from slabrt.grid import (
     MAX_NODES,
+    _binary_exponent,
     barycentric_eval,
     barycentric_weights,
     chebyshev_lobatto_nodes,
+    clenshaw_curtis_weights,
     differentiation_matrix,
 )
 
@@ -118,3 +123,49 @@ def test_differentiation_matrix_general_nodes():
     nodes = np.linspace(0, 1, 12)
     D = differentiation_matrix(nodes, barycentric_weights(nodes))
     assert np.max(np.abs(D @ nodes**3 - 3 * nodes**2)) <= 1e-10
+
+
+def _two_branch_clenshaw_curtis(n):
+    """Clenshaw-Curtis weights on [0, 1] with one cosine loop per parity of N = n - 1."""
+    N = n - 1
+    theta = np.pi * np.arange(n) / N
+    w = np.empty(n)
+    v = np.ones(n - 2)
+    if N % 2 == 0:
+        w[0] = w[-1] = 1.0 / (N * N - 1)
+        for k in range(1, N // 2):
+            v -= 2.0 * np.cos(2.0 * k * theta[1:-1]) / (4 * k * k - 1)
+        v -= np.cos(N * theta[1:-1]) / (N * N - 1)
+    else:
+        w[0] = w[-1] = 1.0 / (N * N)
+        for k in range(1, (N - 1) // 2 + 1):
+            v -= 2.0 * np.cos(2.0 * k * theta[1:-1]) / (4 * k * k - 1)
+    w[1:-1] = 2.0 * v / N
+    return 0.5 * w
+
+
+def test_clenshaw_curtis_one_loop_matches_two_branches():
+    # bit for bit; no golden case uses an odd n, so this is the one check of that branch
+    for n in [*range(3, 201), 256, 384, 512, 1024, 2048]:
+        assert np.array_equal(clenshaw_curtis_weights(n), _two_branch_clenshaw_curtis(n)), n
+
+
+@pytest.mark.parametrize("x, e", [([0.0], 0), ([0.5, -0.25], 0), ([-1.0], 1), ([0.75, 3.0], 2),
+                                  ([1e-310], -1029), ([np.finfo(float).max], 1024)])
+def test_binary_exponent_bounds_the_largest_magnitude(x, e):
+    assert _binary_exponent(np.array(x)) == e
+    m = np.max(np.abs(x))
+    assert m == 0.0 or 0.5 <= np.ldexp(m, -e) < 1.0
+
+
+def test_frexp_is_called_only_by_the_exponent_helper():
+    # exact power-of-two scaling has one home, grid._binary_exponent
+    src = Path(__file__).resolve().parent.parent / "src" / "slabrt"
+    where = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        helper = {id(n) for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+                  and fn.name == "_binary_exponent" for n in ast.walk(fn)}
+        where += [(path.name, id(n) in helper) for n in ast.walk(tree)
+                  if "frexp" in (getattr(n, "attr", None), getattr(n, "id", None))]
+    assert where == [("grid.py", True)]

@@ -39,6 +39,7 @@ from slabrt.variational import (
     _rayleigh_fixed_point,
     _rayleigh_root,
     _ReducedPencil,
+    _unit,
     bump_values,
     pencil_extreme,
 )
@@ -457,6 +458,22 @@ def test_variational_builds_no_slab_form():
     names = {getattr(n, "id", None) or getattr(n, "attr", None) or getattr(n, "name", None)
              for n in ast.walk(ast.parse(path.read_text()))}
     assert not names & {"_dissipation_matrix", "gradient_matrix", "mass_matrix"}
+
+
+def test_unit_vectors_and_congruences_have_one_home():
+    # variational._unit normalizes and signs every eigenvector, forms._sym
+    # symmetrizes every reduced matrix
+    src = Path(__file__).resolve().parent.parent / "src" / "slabrt"
+    for path in sorted(src.glob("*.py")):
+        names = {getattr(n, "id", None) or getattr(n, "attr", None) or getattr(n, "name", None)
+                 for n in ast.walk(ast.parse(path.read_text()))}
+        assert not names & {"_fix_sign", "_congruence"}, path.name
+
+
+def test_unit_scales_to_the_b_norm_and_signs_by_the_largest_entry():
+    B = np.diag([1.0, 4.0])
+    assert np.array_equal(_unit(np.array([1.0, -2.0]), B), np.array([-1.0, 2.0]) / np.sqrt(17.0))
+    assert np.array_equal(_unit(np.array([-3.0, 0.0]), B), np.array([1.0, 0.0]))
 
 
 def test_rayleigh_fixed_point_rejects_nonnegative_alpha0():
