@@ -8,13 +8,21 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .errors import ConvergenceFailure, EmptyBand, NonPositiveHorizon
+from .errors import ConvergenceFailure, EigensolveFailure, EmptyBand, NonPositiveHorizon
 from .forms import FormSet, assemble_forms
-from .grid import SpectralGrid, _binary_exponent
+from .grid import (
+    _COARSE_NODES,
+    SpectralGrid,
+    _binary_exponent,
+    barycentric_eval,
+    build_grid,
+    lobatto_barycentric_weights,
+)
 from .profiles import DensityProfile, SlabConfig
 from .variational import (
     _lapack,
     _rayleigh_fixed_point,
+    _rayleigh_root,
     _ReducedPencil,
     _unit,
     critical_viscosity_closed_form,
@@ -99,26 +107,49 @@ def growth_rate(p: DensityProfile, c: SlabConfig, grid: SpectralGrid,
     Gm reduced by Jm.  So F increases strictly on s >= max(0, -gamma / 2):
     from a start there with F < 0, the safeguarded Rayleigh-functional
     iteration _rayleigh_fixed_point rises to the one root above it, the
-    largest; F >= 0 at the start proves that no mode grows faster.  The
-    first eigensolve is at s = 0.  When F(0) >= 0 and mu >= mu_c, the slip
-    terms cannot win, Gm is positive semidefinite and stability is proved
-    without gamma.  Otherwise slip walls may have made Gm indefinite, and
-    F can start positive, dip below zero and rise again.  One more
-    eigensolve then gives gamma; alpha(s) >= s gamma + alpha(0), so None
-    is returned when gamma >= 0 (as for xi >= xi_c) or
+    largest; F >= 0 at the start proves that no mode grows faster.
+
+    Where grid has more than _COARSE_NODES nodes, mu >= mu_c and rho' > 0 at
+    some node, the start is _coarse_start's (nested iteration, Brandt, Math.
+    Comp. 31 (1977) 333): there Gm is positive semidefinite, F rises on
+    s >= 0 to at most one positive root, and any vector's Rayleigh root lies
+    at or below it, so about two eigensolves reach the rate, against four to
+    six from 0.  Elsewhere, or when that start fails, the first eigensolve
+    is at s = 0, with the same answer bit for bit.  When F(0) >= 0 and
+    mu >= mu_c, the slip terms cannot win, Gm is positive semidefinite and
+    stability is proved without gamma.  Otherwise slip walls may have made
+    Gm indefinite, and F can start positive, dip below zero and rise again.
+    One more eigensolve then gives gamma; alpha(s) >= s gamma + alpha(0), so
+    None is returned when gamma >= 0 (as for xi >= xi_c) or
     gamma^2 / 4 < alpha(0), and else the iteration restarts at
     s0 = -gamma / 2.  F(s0) >= 0 there raises ConvergenceFailure rather
     than answering "stable": no mode grows faster than s0, but an
     oscillatory (complex) mode may grow on (0, s0).  The minimizer at the
     root is the mode shape, taken from the iteration's last eigensolve,
-    which is at the root; iters counts every eigensolve.  phi, pi and
-    residuals are reconstructed on first read (see ModeSolution), so a
-    caller that keeps only the rate pays for no reconstruction.
+    which is at the root; iters counts the eigensolves of grid's pencil
+    that led to the rate (not a failed start's).  phi, pi and residuals are
+    reconstructed on first read (see ModeSolution), so a caller that keeps
+    only the rate pays for no reconstruction.
     """
-    what = f"growth-rate fixed point at xi = {xi:g}"
     fs = assemble_forms(p, c, grid, xi)
-    red = _ReducedPencil(fs.Jm, fs.Gm, fs.E2m, what)
-    lam, it = _rayleigh_fixed_point(red.rayleigh_coefficients, what)
+    red = _ReducedPencil(fs.Jm, fs.Gm, fs.E2m, f"growth-rate fixed point at xi = {xi:g}")
+    t0 = 0.0
+    if (grid.n > _COARSE_NODES and c.mu >= critical_viscosity_closed_form(c)
+            and np.any(fs.drho_nodes > 0.0)):
+        t0 = _coarse_start(p, c, fs)
+    return _solve(fs, c, red, t0)
+
+
+def _solve(fs: FormSet, c: SlabConfig, red: _ReducedPencil,
+           t0: float = 0.0) -> ModeSolution | None:
+    """growth_rate's answer on the forms fs, reduced in red, from the start t0
+    when that lies below the root, else from 0."""
+    what = red.what
+    lam = None
+    if t0 > 0.0:
+        lam, it = _rayleigh_fixed_point(red.rayleigh_coefficients, what, t0)
+    if lam is None:
+        lam, it = _rayleigh_fixed_point(red.rayleigh_coefficients, what)
     if lam is None:
         if c.mu >= critical_viscosity_closed_form(c):
             return None
@@ -136,6 +167,42 @@ def growth_rate(p: DensityProfile, c: SlabConfig, grid: SpectralGrid,
     aval, u = red.solved  # the iteration ends at the point it last solved at
     return ModeSolution(lam=lam, psi=red.mode(u), fixed_point_res=abs(aval + lam * lam),
                         iters=it, forms=fs, slab=c)
+
+
+# growth_rate's coarse start sits this far below its Rayleigh root: 1e-10 can
+# start above the rate at n = 512
+_COARSE_SHIFT = 1e-8
+
+
+@functools.cache
+def _coarse_grid() -> SpectralGrid:
+    return build_grid(_COARSE_NODES)
+
+
+def _coarse_mode(p: DensityProfile, c: SlabConfig, xi: float) -> ModeSolution | None:
+    """growth_rate's answer at xi on the coarse grid, through no module
+    attribute growth_rate, which callers may wrap."""
+    fs = assemble_forms(p, c, _coarse_grid(), xi)
+    red = _ReducedPencil(fs.Jm, fs.Gm, fs.E2m, f"coarse-grid fixed point at xi = {xi:g}")
+    return _solve(fs, c, red)
+
+
+def _coarse_start(p: DensityProfile, c: SlabConfig, fs: FormSet) -> float:
+    """The Rayleigh root on fs of the coarse mode at fs.xi, interpolated to
+    fs's nodes, times 1 - _COARSE_SHIFT; 0 when the coarse grid fails or
+    finds no rate, or the root is not a positive float."""
+    try:
+        coarse = _coarse_mode(p, c, fs.xi)
+    except (ConvergenceFailure, EigensolveFailure):
+        return 0.0
+    if coarse is None:
+        return 0.0
+    cg = coarse.forms.grid
+    v = barycentric_eval(cg.nodes, lobatto_barycentric_weights(cg.n), coarse.psi_full(),
+                         fs.grid.nodes[1:-1])
+    root = _rayleigh_root(float(v @ fs.Jm @ v), float(v @ fs.Gm @ v), float(v @ fs.E2m @ v))
+    t0 = 0.0 if root is None else (1.0 - _COARSE_SHIFT) * root
+    return t0 if 0.0 < t0 < math.inf else 0.0
 
 
 def _wnorm(w: np.ndarray, f: np.ndarray) -> float:

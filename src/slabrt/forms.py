@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ZeroFrequency
-from .grid import SpectralGrid
+from .grid import _COARSE_NODES, SpectralGrid
 from .profiles import DensityProfile, SlabConfig
 
 
@@ -104,12 +104,28 @@ def _slab_grams(c: SlabConfig, g: SpectralGrid) -> tuple:
     return _frozen(E0, gradient_matrix(g), mass_matrix(g))
 
 
-@functools.lru_cache(maxsize=1)
+def _coarse_and_latest(fn):
+    """fn cached for its latest arguments twice over: once on grids of the
+    coarse start's size and once on every other grid, so a scan that
+    alternates between its coarse and fine grid builds each one's data once,
+    while a new fine grid still evicts the last one's.  cache_clear empties both."""
+    slots = [functools.lru_cache(maxsize=1)(fn) for _ in range(2)]
+
+    @functools.wraps(fn)
+    def cached(p, c, g):
+        return slots[g.n == _COARSE_NODES](p, c, g)
+
+    cached.cache_clear = lambda: [slot.cache_clear() for slot in slots]
+    return cached
+
+
+@_coarse_and_latest
 def _grams(p: DensityProfile, c: SlabConfig, g: SpectralGrid) -> tuple:
     """Read-only xi-independent data of (p, c) on g, kept for the latest triple
-    (p and g hash by identity, c by value): the forms of _slab_grams, built first,
-    the interior Grams rho-weighted gradient, rho-weighted mass, rho'-weighted mass,
-    then rho and rho' at the nodes (copies: freezing them leaves p's arrays alone)."""
+    (p and g hash by identity, c by value) on the coarse grid and on any other:
+    the forms of _slab_grams, built first, the interior Grams rho-weighted
+    gradient, rho-weighted mass, rho'-weighted mass, then rho and rho' at the
+    nodes (copies: freezing them leaves p's arrays alone)."""
     return _slab_grams(c, g) + _frozen(
         gradient_matrix(g, p.rho), mass_matrix(g, p.rho), mass_matrix(g, p.drho),
         np.array(p.rho(g.nodes), dtype=float), np.array(p.drho(g.nodes), dtype=float))

@@ -94,10 +94,14 @@ def preset_profile(name: str, **params) -> DensityProfile:
         w = float(params.get("w", 0.1))
         if w <= 0:
             raise ValueError("tanh-layer width w must be positive")
-        return DensityProfile(
-            lambda y: 2.0 + np.tanh((np.asarray(y, dtype=float) - y_c) / w),
-            lambda y: (1.0 / np.cosh((np.asarray(y, dtype=float) - y_c) / w) ** 2) / w,
-        )
+
+        def drho(y):
+            # cosh^2 overflows past |y - y_c| = 355 w, where 1 / inf = 0 is sech^2 underflowed
+            with np.errstate(over="ignore"):
+                return (1.0 / np.cosh((np.asarray(y, dtype=float) - y_c) / w) ** 2) / w
+
+        return DensityProfile(lambda y: 2.0 + np.tanh((np.asarray(y, dtype=float) - y_c) / w),
+                              drho)
     raise ValueError(f"unknown preset {name!r}")
 
 

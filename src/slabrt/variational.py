@@ -27,7 +27,7 @@ from .forms import (
     curvature_matrix,
     wall_matrices,
 )
-from .grid import SpectralGrid
+from .grid import SpectralGrid, _binary_exponent
 from .profiles import DensityProfile, SlabConfig, evaluation_points, validate_profile
 
 FIXED_POINT_TOL = 1e-13
@@ -186,11 +186,14 @@ def critical_viscosity_closed_form(c: SlabConfig) -> float:
     at both walls is 4 (p^2 + p q + q^2), and the supremum of
     (k0 p^2 + k1 q^2) / (4 (p^2 + p q + q^2)) is the larger root of
     12 m^2 - 4 (k0 + k1) m + k0 k1 = 0, clamped at zero.  The clamp engages
-    exactly when both coefficients are nonpositive.
+    exactly when both coefficients are nonpositive.  k0 and k1 are scaled
+    by 2^-e ~ 1 / max(|k0|, |k1|) first, which is exact, so no square
+    overflows into inf - inf = NaN, which the clamp would read as 0.
     """
-    k0, k1 = c.k0, c.k1
-    root = ((k0 + k1) + np.sqrt(k0 * k0 + k1 * k1 - k0 * k1)) / 6.0
-    return max(0.0, float(root))
+    e = _binary_exponent((c.k0, c.k1))
+    k0, k1 = math.ldexp(c.k0, -e), math.ldexp(c.k1, -e)
+    root = ((k0 + k1) + math.sqrt(k0 * k0 + k1 * k1 - k0 * k1)) / 6.0
+    return max(0.0, math.ldexp(root, e))
 
 
 def critical_viscosity_numerical(c: SlabConfig, grid: SpectralGrid) -> float:

@@ -910,6 +910,27 @@ def test_non_finite_pencil_exits_4(tmp_path, capsys, command):
                                        "not contain infs or NaNs\n")
 
 
+def test_huge_slip_is_no_stability_proof(tmp_path):
+    # mu_c read 0 from a NaN at k0 = k1 = 1e155, and mu >= mu_c then "proved"
+    # that nothing grows (exit 3); the slab is light over heavy, but slip
+    # walls that strong make Gm indefinite, so only a rate or a named failure
+    assert main(["mode", "--config", str(CONFIGS / "stable.ini"), "--out", str(tmp_path / "o"),
+                 "--n", "16", "--xi", "2", "--k0", "1e155", "--k1", "1e155"]) in (0, 4)
+
+
+def test_thin_tanh_layer_mode_writes_no_warning(tmp_path):
+    # rho' of a w = 1e-4 layer underflows at most nodes; a fresh interpreter
+    # with the default warning filters prints nothing to stderr
+    ini = tmp_path / "thin.ini"
+    ini.write_text((CONFIGS / "default.ini").read_text()
+                   .replace("preset = linear-up", "preset = tanh-layer\nw = 1e-4"))
+    env = {**os.environ, "PYTHONPATH": str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    run = subprocess.run([sys.executable, "-m", "slabrt", "mode", "--config", str(ini),
+                          "--out", str(tmp_path / "o"), "--n", "32", "--xi", "2"],
+                         capture_output=True, text=True, env=env, timeout=60)
+    assert (run.returncode, run.stderr) == (0, "")
+
+
 def test_non_finite_residual_exits_2_writing_no_json(tmp_path, capsys, monkeypatch):
     reconstruct = slabrt.dispersion.reconstruct_mode
 

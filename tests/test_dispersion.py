@@ -1,4 +1,6 @@
+import gc
 import tracemalloc
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -108,12 +110,13 @@ def test_growth_rate_mode_is_its_last_counted_eigensolve(profile_up, profile_dow
     # the mode comes from the iteration's last eigensolve, which is at the
     # rate (at xi = 0.5 the last step rises by less than 1e-13 but by more
     # than 1e-13 of the rate, so the iteration solves once more at its end);
-    # it is alpha's minimizer at the rate, bit for bit
+    # it is alpha's minimizer at the rate, bit for bit.  iters counts the
+    # eigensolves of the frequency's own m x m pencil, not the coarse start's
     p, c = (profile_up, default_config) if c is None else (profile_down, c)
     eigh, calls = sla.eigh, []
-    monkeypatch.setattr(sla, "eigh", lambda *a, **k: calls.append(1) or eigh(*a, **k))
+    monkeypatch.setattr(sla, "eigh", lambda *a, **k: calls.append(a[0].shape[0]) or eigh(*a, **k))
     ms = growth_rate(p, c, grid64, xi)
-    assert ms is not None and len(calls) == ms.iters
+    assert ms is not None and calls.count(grid64.n - 2) == ms.iters
     a, psi = alpha(ms.forms, ms.lam)
     assert np.array_equal(psi, ms.psi)
     assert abs(a + ms.lam * ms.lam) == ms.residuals["fixed_point_res"]
@@ -682,15 +685,113 @@ def test_scan_iterations_per_frequency(profile_up, default_config, grid64):
 
 def test_scan_builds_the_dissipation_form_once(profile_up, default_config, grid64,
                                                monkeypatch):
-    # E0 is cached with the Grams, so 69 frequencies build its curvature Gram once
+    # E0 is cached with the Grams, so 69 frequencies build its curvature Gram
+    # once on each grid: the coarse start's and the scan's
     calls = []
     build = slabrt.forms.curvature_matrix
-    monkeypatch.setattr(slabrt.forms, "curvature_matrix", lambda g: calls.append(1) or build(g))
+    monkeypatch.setattr(slabrt.forms, "curvature_matrix", lambda g: calls.append(g.n) or build(g))
     slabrt.forms._grams.cache_clear()
     slabrt.forms._slab_grams.cache_clear()
     res = scan_band(profile_up, default_config, grid64, (0.0, 10.0), 64)
     assert len(res.samples) == 2 * 69
-    assert len(calls) == 1
+    assert sorted(calls) == [32, 64]
+
+
+def _from_zero(p, c, grid, xi):
+    """growth_rate's answer with its fixed point started at 0 on the same reduction."""
+    fs = assemble_forms(p, c, grid, xi)
+    red = _ReducedPencil(fs.Jm, fs.Gm, fs.E2m, f"growth-rate fixed point at xi = {xi:g}")
+    return slabrt.dispersion._solve(fs, c, red)
+
+
+@pytest.mark.parametrize("n", [64, 128])
+def test_coarse_start_reaches_the_rate_from_zero(n):
+    # every frequency of configs/default.ini's scan: the rate started from the
+    # coarse grid's mode is the one started at 0, to the iteration's roundoff
+    cfg = replace(load_config(str(CONFIGS / "default.ini")), n=n)
+    p, c, grid = cfg.profile(), cfg.slab(), build_grid(n)
+    _, res = _scan(cfg, cfg.n_samples)
+    pos = [pt for pt in res.samples if pt.xi > 0]
+    assert len(pos) == 69
+    for pt in pos:
+        lam0 = _from_zero(p, c, grid, pt.xi).lam
+        assert abs(pt.lam - lam0) <= 1e-12 * lam0, pt.xi
+
+
+def test_coarse_start_halves_the_scans_eigensolves(monkeypatch):
+    # configs/default.ini's scan at n = 128 took 300 eigensolves of its
+    # 126 x 126 pencils from the start at 0; from the coarse start about 2 each
+    cfg = load_config(str(CONFIGS / "default.ini"))
+    eigh, sizes = sla.eigh, []
+    monkeypatch.setattr(sla, "eigh", lambda *a, **k: sizes.append(a[0].shape[0]) or eigh(*a, **k))
+    rate, per_xi = slabrt.dispersion.growth_rate, []
+
+    def counted(*args):
+        before = sizes.count(cfg.n - 2)
+        ms = rate(*args)
+        per_xi.append(sizes.count(cfg.n - 2) - before)
+        return ms
+
+    monkeypatch.setattr(slabrt.dispersion, "growth_rate", counted)
+    _scan(cfg, cfg.n_samples)
+    assert len(per_xi) == 69
+    assert sum(per_xi) <= 150 and max(per_xi) <= 3
+
+
+@pytest.mark.parametrize("fallback", ["coarse-raises", "coarse-none", "start-above-root"])
+def test_coarse_start_falls_back_to_the_start_at_zero(profile_up, default_config, grid64,
+                                                      monkeypatch, fallback):
+    # a failed coarse start gives the answer from 0, (lam, iters, psi) bit for bit
+    if fallback == "coarse-raises":
+        def coarse(*args):
+            raise ConvergenceFailure("coarse")
+        monkeypatch.setattr(slabrt.dispersion, "_coarse_mode", coarse)
+    elif fallback == "coarse-none":
+        monkeypatch.setattr(slabrt.dispersion, "_coarse_mode", lambda *args: None)
+    else:  # F(t0) > 0 at a start 1e-3 above the Rayleigh root
+        monkeypatch.setattr(slabrt.dispersion, "_COARSE_SHIFT", -1e-3)
+    eigh, sizes = sla.eigh, []
+    monkeypatch.setattr(sla, "eigh", lambda *a, **k: sizes.append(a[0].shape[0]) or eigh(*a, **k))
+    ms = growth_rate(profile_up, default_config, grid64, 2.0)
+    fine_solves = sizes.count(62)
+    ref = _from_zero(profile_up, default_config, grid64, 2.0)
+    assert (ms.lam, ms.iters) == (ref.lam, ref.iters)
+    assert np.array_equal(ms.psi, ref.psi)
+    # a start that fails its test costs one solve of the fine pencil, which iters leaves out
+    assert fine_solves == ref.iters + (fallback == "start-above-root")
+
+
+@pytest.mark.parametrize("physics", ["slip-below-mu-c", "stable", "coarse-sized-grid"])
+def test_coarse_start_is_bypassed(profile_up, grid32, grid64, monkeypatch, physics):
+    # mu < mu_c (Gm may be indefinite), rho' <= 0 at every node (rejected after
+    # one solve anyway) and a grid no finer than the coarse one start at 0
+    p, c, grid = {
+        "slip-below-mu-c": (preset_profile("tanh-layer"), SLIP_BELOW_XI_C, grid64),
+        "stable": (preset_profile("linear-down"),
+                   load_config(str(CONFIGS / "stable.ini")).slab(), grid64),
+        "coarse-sized-grid": (profile_up, SlabConfig(mu=0.01), grid32),
+    }[physics]
+    called = []
+    monkeypatch.setattr(slabrt.dispersion, "_coarse_mode", lambda *args: called.append(args))
+    for xi in (1.0, 2.0, 4.0):
+        ms = growth_rate(p, c, grid, xi)
+        ref = _from_zero(p, c, grid, xi)
+        assert (ms is None) == (ref is None) == (physics == "stable")
+        assert ms is None or (ms.lam, ms.iters) == (ref.lam, ref.iters)
+    assert called == []
+
+
+def test_a_new_fine_grid_frees_the_last_ones_forms(profile_up, default_config):
+    # the Gram cache keeps the coarse grid's entry beside the latest fine
+    # grid's, so the grid of one command (critical) and its Grams are freed
+    # once the next command (dispersion) assembles forms on its own grid
+    first = build_grid(64)
+    assemble_forms(profile_up, default_config, first, 2.0)
+    gone = weakref.ref(first)
+    del first
+    assemble_forms(profile_up, default_config, build_grid(64), 2.0)
+    gc.collect()
+    assert gone() is None
 
 
 def test_scan_keeps_points_not_modes(profile_up, default_config, grid64):

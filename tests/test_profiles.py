@@ -38,6 +38,15 @@ def test_tanh_layer_profile():
     assert p.rho(evaluation_points()).min() > 0.9
 
 
+def test_thin_tanh_layer_slope_underflows_quietly():
+    # sech^2 = 1 / cosh^2 with cosh^2 = inf past |y - y_c| = 355 w: 0, with no
+    # overflow warning (the suite turns RuntimeWarnings into errors)
+    p = preset_profile("tanh-layer", y_c=0.5, w=1e-4)
+    d = p.drho(np.array([0.0, 0.25, 0.5, 1.0]))
+    assert d.tolist() == [0.0, 0.0, 1e4, 0.0]
+    assert p.drho(0.0) == 0.0
+
+
 def test_unknown_preset():
     with pytest.raises(ValueError):
         preset_profile("step")

@@ -99,6 +99,21 @@ def test_critical_viscosity_closed_form_cases():
     assert critical_viscosity_closed_form(SlabConfig(mu=1, k0=6, k1=6)) == pytest.approx(3.0)
 
 
+def test_critical_viscosity_closed_form_at_huge_slip():
+    # k0^2 + k1^2 - k0 k1 would be inf - inf = NaN, which the clamp read as 0
+    assert critical_viscosity_closed_form(SlabConfig(mu=1, k0=1e200, k1=1e200)) == (
+        pytest.approx(5e199, rel=1e-15))
+
+
+@pytest.mark.parametrize("e", [600, -600])
+def test_critical_viscosity_closed_form_follows_power_of_two_scaling(e):
+    # mu_c is homogeneous of degree 1 in (k0, k1), and scaling by 2^e is exact
+    for k0, k1 in [(0.5, 1.0), (6.0, 6.0), (-1.0, -0.5)]:
+        scaled = SlabConfig(mu=1, k0=np.ldexp(k0, e), k1=np.ldexp(k1, e))
+        assert critical_viscosity_closed_form(scaled) == np.ldexp(
+            critical_viscosity_closed_form(SlabConfig(mu=1, k0=k0, k1=k1)), e), (k0, k1)
+
+
 def test_critical_viscosity_closed_form_is_cubic_supremum(rng):
     # oracle: maximize (k0 p^2 + k1 q^2) / (4 (p^2 + p q + q^2)) over a dense
     # sweep of cubic endpoint slopes (p, q); cubics are the maximizers
