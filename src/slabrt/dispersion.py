@@ -8,21 +8,14 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .errors import ConvergenceFailure, EigensolveFailure, EmptyBand, NonPositiveHorizon
-from .forms import FormSet, assemble_forms
-from .grid import (
-    _COARSE_NODES,
-    SpectralGrid,
-    _binary_exponent,
-    barycentric_eval,
-    build_grid,
-    lobatto_barycentric_weights,
-)
+from .errors import ConvergenceFailure, EmptyBand, NonPositiveHorizon
+from .forms import FormSet, _grams, assemble_forms
+from .grid import SpectralGrid, _binary_exponent, _coarse_grid
 from .profiles import DensityProfile, SlabConfig
 from .variational import (
     _lapack,
+    _nested_fixed_point,
     _rayleigh_fixed_point,
-    _rayleigh_root,
     _ReducedPencil,
     _unit,
     critical_viscosity_closed_form,
@@ -109,13 +102,17 @@ def growth_rate(p: DensityProfile, c: SlabConfig, grid: SpectralGrid,
     iteration _rayleigh_fixed_point rises to the one root above it, the
     largest; F >= 0 at the start proves that no mode grows faster.
 
-    Where grid has more than _COARSE_NODES nodes, mu >= mu_c and rho' > 0 at
-    some node, the start is _coarse_start's (nested iteration, Brandt, Math.
-    Comp. 31 (1977) 333): there Gm is positive semidefinite, F rises on
-    s >= 0 to at most one positive root, and any vector's Rayleigh root lies
-    at or below it, so about two eigensolves reach the rate, against four to
-    six from 0.  Elsewhere, or when that start fails, the first eigensolve
-    is at s = 0, with the same answer bit for bit.  When F(0) >= 0 and
+    Where grid has more than _COARSE_NODES nodes and rho' > 0 at some node,
+    the start is the coarse grid's mode at xi (_nested_fixed_point) when
+    either of two conditions shows that any vector's Rayleigh root lies at
+    or below the rate.  With mu >= mu_c, Gm is positive semidefinite, and F
+    rises on s >= 0 to at most one positive root.  With rho' >= 0 at every
+    node of the doubled rule, E2m is a sum of rank-one terms of one sign,
+    so every parabola has u' E2m u >= 0 and at most one positive root; F < 0
+    on (0, lam) for lam the largest of those roots, F's only positive root.
+    About two eigensolves then reach the rate, against four to six from 0.
+    Elsewhere, or when that start fails, the first eigensolve is at s = 0,
+    with the same answer bit for bit.  When F(0) >= 0 and
     mu >= mu_c, the slip terms cannot win, Gm is positive semidefinite and
     stability is proved without gamma.  Otherwise slip walls may have made
     Gm indefinite, and F can start positive, dip below zero and rise again.
@@ -133,23 +130,17 @@ def growth_rate(p: DensityProfile, c: SlabConfig, grid: SpectralGrid,
     """
     fs = assemble_forms(p, c, grid, xi)
     red = _ReducedPencil(fs.Jm, fs.Gm, fs.E2m, f"growth-rate fixed point at xi = {xi:g}")
-    t0 = 0.0
-    if (grid.n > _COARSE_NODES and c.mu >= critical_viscosity_closed_form(c)
-            and np.any(fs.drho_nodes > 0.0)):
-        t0 = _coarse_start(p, c, fs)
-    return _solve(fs, c, red, t0)
+    safe = np.any(fs.drho_nodes > 0.0) and (
+        _grams(p, c, grid)[-1] or c.mu >= critical_viscosity_closed_form(c))
+    return _solve(fs, c, red, functools.partial(_coarse_mode, p, c, xi) if safe else None)
 
 
-def _solve(fs: FormSet, c: SlabConfig, red: _ReducedPencil,
-           t0: float = 0.0) -> ModeSolution | None:
-    """growth_rate's answer on the forms fs, reduced in red, from the start t0
-    when that lies below the root, else from 0."""
+def _solve(fs: FormSet, c: SlabConfig, red: _ReducedPencil, coarse=None) -> ModeSolution | None:
+    """growth_rate's answer on the forms fs, reduced in red, its fixed point
+    started from coarse as _nested_fixed_point does."""
     what = red.what
-    lam = None
-    if t0 > 0.0:
-        lam, it = _rayleigh_fixed_point(red.rayleigh_coefficients, what, t0)
-    if lam is None:
-        lam, it = _rayleigh_fixed_point(red.rayleigh_coefficients, what)
+    lam, it = _nested_fixed_point(red.rayleigh_coefficients, what, fs.grid, coarse,
+                                  (fs.Jm, fs.Gm, fs.E2m))
     if lam is None:
         if c.mu >= critical_viscosity_closed_form(c):
             return None
@@ -169,40 +160,13 @@ def _solve(fs: FormSet, c: SlabConfig, red: _ReducedPencil,
                         iters=it, forms=fs, slab=c)
 
 
-# growth_rate's coarse start sits this far below its Rayleigh root: 1e-10 can
-# start above the rate at n = 512
-_COARSE_SHIFT = 1e-8
-
-
-@functools.cache
-def _coarse_grid() -> SpectralGrid:
-    return build_grid(_COARSE_NODES)
-
-
-def _coarse_mode(p: DensityProfile, c: SlabConfig, xi: float) -> ModeSolution | None:
-    """growth_rate's answer at xi on the coarse grid, through no module
-    attribute growth_rate, which callers may wrap."""
+def _coarse_mode(p: DensityProfile, c: SlabConfig, xi: float) -> np.ndarray | None:
+    """growth_rate's mode at xi on the coarse grid as node values, or None,
+    through no module attribute growth_rate, which callers may wrap."""
     fs = assemble_forms(p, c, _coarse_grid(), xi)
     red = _ReducedPencil(fs.Jm, fs.Gm, fs.E2m, f"coarse-grid fixed point at xi = {xi:g}")
-    return _solve(fs, c, red)
-
-
-def _coarse_start(p: DensityProfile, c: SlabConfig, fs: FormSet) -> float:
-    """The Rayleigh root on fs of the coarse mode at fs.xi, interpolated to
-    fs's nodes, times 1 - _COARSE_SHIFT; 0 when the coarse grid fails or
-    finds no rate, or the root is not a positive float."""
-    try:
-        coarse = _coarse_mode(p, c, fs.xi)
-    except (ConvergenceFailure, EigensolveFailure):
-        return 0.0
-    if coarse is None:
-        return 0.0
-    cg = coarse.forms.grid
-    v = barycentric_eval(cg.nodes, lobatto_barycentric_weights(cg.n), coarse.psi_full(),
-                         fs.grid.nodes[1:-1])
-    root = _rayleigh_root(float(v @ fs.Jm @ v), float(v @ fs.Gm @ v), float(v @ fs.E2m @ v))
-    t0 = 0.0 if root is None else (1.0 - _COARSE_SHIFT) * root
-    return t0 if 0.0 < t0 < math.inf else 0.0
+    ms = _solve(fs, c, red)
+    return None if ms is None else ms.psi_full()
 
 
 def _wnorm(w: np.ndarray, f: np.ndarray) -> float:

@@ -91,32 +91,33 @@ def _frozen(*arrays: np.ndarray) -> tuple:
     return arrays
 
 
-@functools.lru_cache(maxsize=1)
+def _coarse_and_latest(fn):
+    """fn cached for its latest arguments twice over: once where its last
+    argument, a grid, has the coarse start's size and once on any other grid,
+    so work alternating between a coarse and a fine grid builds each one's
+    data once, while a new fine grid still evicts the last one's.  cache_clear empties both."""
+    slots = [functools.lru_cache(maxsize=1)(fn) for _ in range(2)]
+
+    @functools.wraps(fn)
+    def cached(*args):
+        return slots[args[-1].n == _COARSE_NODES](*args)
+
+    cached.cache_clear = lambda: [slot.cache_clear() for slot in slots]
+    return cached
+
+
+@_coarse_and_latest
 def _slab_grams(c: SlabConfig, g: SpectralGrid) -> tuple:
     """Read-only forms of c on g that depend on neither xi nor the profile,
-    kept for the latest pair (c hashes by value, g by identity): the
-    dissipation form E0 of int mu |psi''|^2 - k1 |psi'(1)|^2 - k0 |psi'(0)|^2
-    (inf where it overflows) and the interior gradient and mass Grams."""
+    kept for the latest pair (c hashes by value, g by identity) on the coarse
+    grid and on any other: the dissipation form E0 of
+    int mu |psi''|^2 - k1 |psi'(1)|^2 - k0 |psi'(0)|^2 (inf where it
+    overflows) and the interior gradient and mass Grams."""
     with np.errstate(over="ignore", invalid="ignore"):
         W0, W1 = wall_matrices(c, g)
         E0 = c.mu * curvature_matrix(g) - W1 - W0
         del W0, W1  # E0's temporaries go before any other Gram is built
     return _frozen(E0, gradient_matrix(g), mass_matrix(g))
-
-
-def _coarse_and_latest(fn):
-    """fn cached for its latest arguments twice over: once on grids of the
-    coarse start's size and once on every other grid, so a scan that
-    alternates between its coarse and fine grid builds each one's data once,
-    while a new fine grid still evicts the last one's.  cache_clear empties both."""
-    slots = [functools.lru_cache(maxsize=1)(fn) for _ in range(2)]
-
-    @functools.wraps(fn)
-    def cached(p, c, g):
-        return slots[g.n == _COARSE_NODES](p, c, g)
-
-    cached.cache_clear = lambda: [slot.cache_clear() for slot in slots]
-    return cached
 
 
 @_coarse_and_latest
@@ -125,17 +126,20 @@ def _grams(p: DensityProfile, c: SlabConfig, g: SpectralGrid) -> tuple:
     (p and g hash by identity, c by value) on the coarse grid and on any other:
     the forms of _slab_grams, built first, the interior Grams rho-weighted
     gradient, rho-weighted mass, rho'-weighted mass, then rho and rho' at the
-    nodes (copies: freezing them leaves p's arrays alone)."""
+    nodes (copies: freezing them leaves p's arrays alone) and whether
+    rho' >= 0 at every node of the doubled rule, which makes E2m a sum of
+    rank-one terms of one sign, positive semidefinite."""
     return _slab_grams(c, g) + _frozen(
         gradient_matrix(g, p.rho), mass_matrix(g, p.rho), mass_matrix(g, p.drho),
-        np.array(p.rho(g.nodes), dtype=float), np.array(p.drho(g.nodes), dtype=float))
+        np.array(p.rho(g.nodes), dtype=float), np.array(p.drho(g.nodes), dtype=float),
+    ) + (bool(np.all(p.drho(g.fine_nodes) >= 0.0)),)
 
 
 def assemble_forms(p: DensityProfile, c: SlabConfig, g: SpectralGrid, xi: float) -> FormSet:
     """The pencil's three forms at frequency xi; rejects xi = 0, overflow and a subnormal g xi^2."""
     if xi == 0.0:
         raise ZeroFrequency("quadratic forms require xi != 0")
-    E0, K1, M, K1r, Mr, Mdr, rho, drho = _grams(p, c, g)
+    E0, K1, M, K1r, Mr, Mdr, rho, drho, _ = _grams(p, c, g)
     with np.errstate(over="ignore", invalid="ignore"):
         xi2 = xi * xi
         gxi2 = c.g * xi2

@@ -1,6 +1,7 @@
 """Spectral collocation on [0, 1]: Chebyshev-Lobatto nodes, barycentric
 differentiation matrices up to fourth order, Clenshaw-Curtis rules on n and 2n nodes."""
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -9,7 +10,7 @@ from .errors import GridTooSmall
 
 MIN_NODES = 16
 MAX_NODES = 1024  # a grid holds about a dozen dense n x n matrices
-_COARSE_NODES = 32  # dispersion.growth_rate's coarse start; 24 measured about as fast, 48 slower
+_COARSE_NODES = 32  # the fixed points' coarse start; 24 measured about as fast, 48 slower
 
 
 @dataclass(frozen=True, eq=False)
@@ -33,6 +34,14 @@ class SpectralGrid:
     fine_nodes: np.ndarray
     fine_w: np.ndarray
     resample: np.ndarray
+
+    @functools.cached_property
+    def _from_coarse(self) -> np.ndarray:
+        """(n - 2) x _COARSE_NODES matrix from node values on _coarse_grid() to
+        their interpolant at these interior nodes, barycentric_eval's matrix."""
+        cg = _coarse_grid()
+        return _interpolation_matrix(cg.nodes, lobatto_barycentric_weights(cg.n),
+                                     self.nodes[1:-1])
 
 
 def chebyshev_lobatto_nodes(n: int) -> np.ndarray:
@@ -120,6 +129,11 @@ def build_grid(n: int) -> SpectralGrid:
                         w=clenshaw_curtis_weights(n), fine_nodes=fine_nodes,
                         fine_w=clenshaw_curtis_weights(2 * n),
                         resample=_interpolation_matrix(nodes, bary_w, fine_nodes))
+
+
+@functools.cache
+def _coarse_grid() -> SpectralGrid:
+    return build_grid(_COARSE_NODES)
 
 
 def _interpolation_matrix(nodes: np.ndarray, bary_w: np.ndarray, x) -> np.ndarray:

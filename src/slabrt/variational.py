@@ -27,7 +27,7 @@ from .forms import (
     curvature_matrix,
     wall_matrices,
 )
-from .grid import SpectralGrid, _binary_exponent
+from .grid import _COARSE_NODES, SpectralGrid, _binary_exponent, _coarse_grid
 from .profiles import DensityProfile, SlabConfig, evaluation_points, validate_profile
 
 FIXED_POINT_TOL = 1e-13
@@ -157,6 +157,44 @@ def _rayleigh_fixed_point(coefficients, what: str, t0: float = 0.0):
     raise ConvergenceFailure(f"{what} did not converge in {RAYLEIGH_CAP} steps")
 
 
+# a coarse start sits this far below its Rayleigh root: 1e-10 can start above
+# the growth rate at n = 512
+_COARSE_SHIFT = 1e-8
+
+
+def _quadratic(forms, v: np.ndarray) -> tuple:
+    """(v' A v for A in forms): the (a, b, e) of v's Rayleigh functional."""
+    return tuple(float(v @ A @ v) for A in forms)
+
+
+def _nested_fixed_point(coefficients, what: str, grid: SpectralGrid, coarse, forms):
+    """_rayleigh_fixed_point(coefficients, what) started from a coarse grid's
+    vector (nested iteration, Brandt, Math. Comp. 31 (1977) 333).
+
+    Where grid has more than _COARSE_NODES nodes, coarse() gives node values
+    on _coarse_grid(), or None; interpolated to grid's interior nodes they
+    are v, and the start is (1 - _COARSE_SHIFT) times the root of
+    _quadratic(forms, v).  The caller passes coarse only where every
+    vector's root lies at or below the fixed point.  The start is 0 when
+    coarse raises ConvergenceFailure or EigensolveFailure or gives None, or
+    the root is not a positive float; a start above 0 that is not below the
+    fixed point, (None, 1), restarts at 0, where alone None means no root.
+    """
+    t0 = 0.0
+    try:
+        u = coarse() if coarse is not None and grid.n > _COARSE_NODES else None
+    except (ConvergenceFailure, EigensolveFailure):
+        u = None
+    if u is not None:
+        root = _rayleigh_root(*_quadratic(forms, grid._from_coarse @ u))
+        t0 = 0.0 if root is None else (1.0 - _COARSE_SHIFT) * root
+    if 0.0 < t0 < math.inf:
+        root, steps = _rayleigh_fixed_point(coefficients, what, t0)
+        if root is not None:
+            return root, steps
+    return _rayleigh_fixed_point(coefficients, what)
+
+
 def pencil_extreme(A: np.ndarray, B: np.ndarray):
     """Largest eigenpair of A v = theta B v with B positive definite.
 
@@ -216,22 +254,37 @@ def critical_frequency(c: SlabConfig, grid: SpectralGrid) -> float:
     (-E0) v = theta * mu (2 K1 + t M) v, h is strictly decreasing, and its
     fixed point h(t*) = t* is the growing root of the quadratic pencil
     mu M t^2 + 2 mu K1 t + E0, reached by the Rayleigh-functional iteration
-    on the maximizer v from t = 0; xi_c = sqrt(t*), and 0 when h(0) <= 0.
-    The pencil is not reduced by mu M: that reduction loses accuracy as n
-    grows (relative fixed-point residuals up to 9e-8 at n = 256 on slip
+    on the maximizer v; xi_c = sqrt(t*), and 0 when h(0) <= 0.  Where grid
+    has more than _COARSE_NODES nodes, the iteration starts from the same
+    problem's maximizer on the coarse grid (_nested_fixed_point): each
+    vector's quadratic mu v'Mv t^2 + 2 mu v'K1v t - v'(-E0)v has a > 0 and
+    b >= 0, so it increases on t >= 0 and is negative just below its root,
+    where h(t) > t; since h(t) < t for t > t*, every vector's root lies at or
+    below t*.  Elsewhere, or when that start fails, the iteration starts at
+    t = 0.  The pencil is not reduced by mu M: that reduction loses accuracy
+    as n grows (relative fixed-point residuals up to 9e-8 at n = 256 on slip
     walls, against 3e-10 here).
     """
     if c.mu >= critical_viscosity_closed_form(c):
         return 0.0
+    t_star, _ = _critical_point(c, grid)
+    return 0.0 if t_star is None else math.sqrt(t_star)
+
+
+def _critical_point(c: SlabConfig, grid: SpectralGrid):
+    """critical_frequency's t* and the maximizer there as node values on
+    grid; (None, None) when h(0) <= 0."""
     E0, K1, M = _slab_grams(c, grid)
-    negE0, muK1, muM = -E0, c.mu * K1, c.mu * M
+    forms = (c.mu * M, 2.0 * c.mu * K1, -E0)
+    solved = [None]
 
     def coefficients(t: float):
-        _, v = pencil_extreme(negE0, 2.0 * muK1 + t * muM)
-        return float(v @ muM @ v), 2.0 * float(v @ muK1 @ v), float(v @ negE0 @ v)
+        _, solved[0] = pencil_extreme(forms[2], forms[1] + t * forms[0])
+        return _quadratic(forms, solved[0])
 
-    t_star, _ = _rayleigh_fixed_point(coefficients, "critical frequency")
-    return 0.0 if t_star is None else math.sqrt(t_star)
+    t_star, _ = _nested_fixed_point(coefficients, "critical frequency", grid,
+                                    lambda: _critical_point(c, _coarse_grid())[1], forms)
+    return (None, None) if t_star is None else (t_star, np.pad(solved[0], 1))
 
 
 def bump_values(y: np.ndarray, center: float, width: float) -> np.ndarray:

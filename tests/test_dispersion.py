@@ -27,6 +27,7 @@ from slabrt import (
 )
 import slabrt.dispersion
 import slabrt.forms
+import slabrt.variational
 from slabrt.cli import _scan, load_config
 from slabrt.dispersion import _linearization
 from slabrt.errors import ConvergenceFailure, EigensolveFailure, EmptyBand, NonPositiveHorizon
@@ -749,7 +750,7 @@ def test_coarse_start_falls_back_to_the_start_at_zero(profile_up, default_config
     elif fallback == "coarse-none":
         monkeypatch.setattr(slabrt.dispersion, "_coarse_mode", lambda *args: None)
     else:  # F(t0) > 0 at a start 1e-3 above the Rayleigh root
-        monkeypatch.setattr(slabrt.dispersion, "_COARSE_SHIFT", -1e-3)
+        monkeypatch.setattr(slabrt.variational, "_COARSE_SHIFT", -1e-3)
     eigh, sizes = sla.eigh, []
     monkeypatch.setattr(sla, "eigh", lambda *a, **k: sizes.append(a[0].shape[0]) or eigh(*a, **k))
     ms = growth_rate(profile_up, default_config, grid64, 2.0)
@@ -763,10 +764,11 @@ def test_coarse_start_falls_back_to_the_start_at_zero(profile_up, default_config
 
 @pytest.mark.parametrize("physics", ["slip-below-mu-c", "stable", "coarse-sized-grid"])
 def test_coarse_start_is_bypassed(profile_up, grid32, grid64, monkeypatch, physics):
-    # mu < mu_c (Gm may be indefinite), rho' <= 0 at every node (rejected after
-    # one solve anyway) and a grid no finer than the coarse one start at 0
+    # mu < mu_c with rho' < 0 (Gm indefinite, modes grow through the restart
+    # at -gamma / 2), rho' <= 0 at every node (rejected after one solve
+    # anyway) and a grid no finer than the coarse one start at 0
     p, c, grid = {
-        "slip-below-mu-c": (preset_profile("tanh-layer"), SLIP_BELOW_XI_C, grid64),
+        "slip-below-mu-c": (preset_profile("linear-down"), INDEFINITE, grid64),
         "stable": (preset_profile("linear-down"),
                    load_config(str(CONFIGS / "stable.ini")).slab(), grid64),
         "coarse-sized-grid": (profile_up, SlabConfig(mu=0.01), grid32),
@@ -779,6 +781,26 @@ def test_coarse_start_is_bypassed(profile_up, grid32, grid64, monkeypatch, physi
         assert (ms is None) == (ref is None) == (physics == "stable")
         assert ms is None or (ms.lam, ms.iters) == (ref.lam, ref.iters)
     assert called == []
+
+
+@pytest.mark.parametrize("n", [64, 192])
+def test_coarse_start_reaches_the_slip_rate_from_zero(n, monkeypatch):
+    # the cross-check's slip walls (mu < mu_c) with rho' > 0 everywhere: E2m is
+    # positive semidefinite, so the coarse start applies and reaches the rate
+    # that the start at 0 reaches; at n = 192 the four frequencies took 17
+    # eigensolves of their 190 x 190 pencils from 0
+    p = preset_profile("tanh-layer", y_c=0.5, w=0.05)
+    grid = build_grid(n)
+    eigh, sizes = sla.eigh, []
+    monkeypatch.setattr(sla, "eigh", lambda *a, **k: sizes.append(a[0].shape[0]) or eigh(*a, **k))
+    modes = [growth_rate(p, SLIP_BELOW_XI_C, grid, xi) for xi in (1.0, 2.0, 4.0, 8.0)]
+    fine_solves = sizes.count(n - 2)
+    for ms in modes:
+        lam0 = _from_zero(p, SLIP_BELOW_XI_C, grid, ms.forms.xi).lam
+        assert abs(ms.lam - lam0) <= 1e-12 * lam0, ms.forms.xi
+        assert ms.iters <= 3
+    if n == 192:
+        assert fine_solves <= 10
 
 
 def test_a_new_fine_grid_frees_the_last_ones_forms(profile_up, default_config):
@@ -808,16 +830,18 @@ def test_scan_keeps_points_not_modes(profile_up, default_config, grid64):
     assert peak <= 2 * 2**20
 
 
-@pytest.mark.parametrize("physics", ["default", "indefinite-restart"])
+@pytest.mark.parametrize("physics", ["default", "slip", "indefinite-restart"])
 def test_scan_points_are_growth_rate_results(profile_up, profile_down, default_config,
                                              grid32, grid64, monkeypatch, physics):
     # one call per frequency through dispersion.growth_rate, the module
     # attribute a tracer wraps, and each point is that call's (lam,
     # fixed_point_res, iters) bit for bit; the scan reads no phi, pi or
     # residuals, so it reconstructs no mode
-    p, c, grid, band = ((profile_up, default_config, grid64, (0.0, 10.0))
-                        if physics == "default" else
-                        (profile_down, INDEFINITE, grid32, (0.5, 5.9)))
+    p, c, grid, band = {
+        "default": (profile_up, default_config, grid64, (0.0, 10.0)),
+        "slip": (preset_profile("tanh-layer"), SLIP_BELOW_XI_C, grid64, (0.0, 10.0)),
+        "indefinite-restart": (profile_down, INDEFINITE, grid32, (0.5, 5.9)),
+    }[physics]
     built, modes = _count_reconstructions(monkeypatch), {}
 
     def counted(p, c, grid, xi):
@@ -833,6 +857,9 @@ def test_scan_points_are_growth_rate_results(profile_up, profile_down, default_c
     for pt in pos:
         ms = modes[pt.xi]
         assert (pt.lam, pt.alpha_residual, pt.iters) == (ms.lam, ms.fixed_point_res, ms.iters)
+    if physics == "slip":
+        # mu < mu_c, but rho' > 0 everywhere: each rate starts from the coarse grid's mode
+        assert max(ms.iters for ms in modes.values()) <= 3
     if physics == "indefinite-restart":
         # F(0) = alpha(0) >= 0 everywhere, so every rate, and its iters,
         # includes the gamma eigensolve and the restart at -gamma / 2

@@ -9,6 +9,7 @@ import pytest
 import scipy.linalg as sla
 
 import slabrt.forms
+import slabrt.variational
 from slabrt import (
     DensityProfile,
     SlabConfig,
@@ -34,8 +35,10 @@ from slabrt.errors import (
     ZeroFrequency,
 )
 from slabrt.forms import curvature_matrix, gradient_matrix, mass_matrix, slope_traces
+from slabrt.grid import _coarse_grid
 from slabrt.variational import (
     _bump_center,
+    _critical_point,
     _rayleigh_fixed_point,
     _rayleigh_root,
     _ReducedPencil,
@@ -172,16 +175,17 @@ def test_critical_frequency_fixed_point(grid128):
 @pytest.mark.parametrize("n", [64, 128, 192])
 @pytest.mark.parametrize("mu,k0,k1", [(0.02, 0.5, 1.0), (0.1, -1.0, 3.0)])
 def test_critical_frequency_iteration(mu, k0, k1, n, monkeypatch):
-    # the Rayleigh-functional iteration rises from t = 0 to the fixed point
-    # in a few pencil solves, with a residual no worse than roundoff allows
+    # the Rayleigh-functional iteration rises from its start, the coarse
+    # grid's maximizer, to the fixed point in a few pencil solves, with a
+    # residual no worse than roundoff allows
     solves, ts = [], []
 
     def counted(A, B):
-        solves.append(B.shape)
+        solves.append(B.shape[0])
         return pencil_extreme(A, B)
 
-    def recorded(coefficients, what):
-        return _rayleigh_fixed_point(lambda t: ts.append(t) or coefficients(t), what)
+    def recorded(coefficients, what, t0=0.0):
+        return _rayleigh_fixed_point(lambda t: ts.append(t) or coefficients(t), what, t0)
 
     monkeypatch.setattr("slabrt.variational.pencil_extreme", counted)
     monkeypatch.setattr("slabrt.variational._rayleigh_fixed_point", recorded)
@@ -189,9 +193,67 @@ def test_critical_frequency_iteration(mu, k0, k1, n, monkeypatch):
     grid = build_grid(n)
     t = critical_frequency(c, grid) ** 2
     assert abs(_h(c, grid, t) - t) / t <= 1e-9
-    assert len(solves) <= 8
-    assert ts[0] == 0.0 and ts == sorted(ts)
-    assert ts[-1] <= t * (1.0 + 1e-9)
+    # the coarse grid's solves come first, from 0, then the fine grid's
+    fine = [t for t, m in zip(ts, solves) if m == n - 2]
+    assert solves.count(n - 2) <= 4 and len(solves) <= 12
+    assert ts[0] == 0.0 and fine[0] > 0.0 and fine == sorted(fine)
+    assert fine[-1] <= t * (1.0 + 1e-9)
+
+
+CRITICAL_CONFIGS = [(0.02, 0.5, 1.0), (0.1, -1.0, 3.0), (0.5, 6.0, 6.0)]
+
+
+def _critical_from_zero(c, grid, monkeypatch):
+    """critical_frequency with its fixed point started at 0: no grid exceeds the coarse size."""
+    with monkeypatch.context() as m:
+        m.setattr(slabrt.variational, "_COARSE_NODES", 2**31)
+        return critical_frequency(c, grid)
+
+
+@pytest.mark.parametrize("n", [64, 128, 192, 256])
+@pytest.mark.parametrize("mu,k0,k1", CRITICAL_CONFIGS)
+def test_critical_frequency_coarse_start(mu, k0, k1, n, monkeypatch):
+    # mu < mu_c: every vector's Rayleigh root lies at or below xi_c^2, so the
+    # start from the coarse grid's maximizer reaches the fixed point that the
+    # start at 0 reaches, in no more solves of the fine pencil
+    c = SlabConfig(mu=mu, g=1.0, k0=k0, k1=k1, L=1.0)
+    grid = build_grid(n)
+    solves = []
+    extreme = slabrt.variational.pencil_extreme
+    monkeypatch.setattr(slabrt.variational, "pencil_extreme",
+                        lambda A, B: solves.append(B.shape[0]) or extreme(A, B))
+    t = critical_frequency(c, grid) ** 2
+    started = solves.count(n - 2)
+    t0 = _critical_from_zero(c, grid, monkeypatch) ** 2
+    from_zero = solves.count(n - 2) - started
+    if k0 != 6.0:  # k = 6 reads 1.1e-9 here at n = 256, and 7.4e-10 from the start at 0
+        assert abs(_h(c, grid, t) - t) / t <= 1e-9
+    assert abs(t - t0) <= 1e-9 * t0
+    assert started <= from_zero
+
+
+@pytest.mark.parametrize("fallback", ["coarse-raises", "coarse-h0-nonpositive",
+                                      "start-above-root"])
+def test_critical_frequency_coarse_start_falls_back(monkeypatch, fallback):
+    # a failed coarse start gives the value started at 0, bit for bit
+    c = SlabConfig(mu=0.02, g=1.0, k0=0.5, k1=1.0, L=1.0)
+    grid = build_grid(64)
+    ref = _critical_from_zero(c, grid, monkeypatch)
+    extreme = slabrt.variational.pencil_extreme
+    if fallback == "start-above-root":  # a start 1e-3 above the coarse vector's root
+        monkeypatch.setattr(slabrt.variational, "_COARSE_SHIFT", -1e-3)
+    else:
+        def coarse_fails(A, B):
+            if B.shape[0] != _coarse_grid().n - 2:
+                return extreme(A, B)
+            if fallback == "coarse-raises":
+                raise EigensolveFailure("coarse")
+            return _ReducedPencil(B, A).pair()  # the smallest pair: h(0) < 0
+
+        monkeypatch.setattr(slabrt.variational, "pencil_extreme", coarse_fails)
+        if fallback == "coarse-h0-nonpositive":
+            assert _critical_point(c, _coarse_grid()) == (None, None)
+    assert critical_frequency(c, grid) == ref
 
 
 def test_critical_frequency_just_below_mu_c(grid32):
@@ -230,7 +292,7 @@ def test_critical_numbers_and_rates_build_each_unweighted_gram_once(monkeypatch)
     assert compute_critical_numbers(p, c, grid).xi_c > 0.0
     for xi in (1.0, 2.0, 4.0, 8.0):
         assert growth_rate(p, c, grid, xi) is not None
-    assert sorted(builds) == ["curvature_matrix", "gradient_matrix", "mass_matrix"]
+    assert sorted(builds) == sorted(["curvature_matrix", "gradient_matrix", "mass_matrix"] * 2)
 
 
 def test_upper_bound_constants_positive(profile_up, default_config, grid128):
