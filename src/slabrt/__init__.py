@@ -3,12 +3,17 @@ slip walls: variational growth rates, dispersion scans, mode reconstruction
 and a time-domain cross-check."""
 
 import os
+import sys
+import warnings
 
 # The dense eigensolves here are small enough that a second OpenBLAS thread
 # burns CPU without saving wall time.  OpenBLAS reads the variable when it
 # loads, so this takes effect only if numpy and scipy are not loaded yet; an
 # explicit OPENBLAS_NUM_THREADS or OMP_NUM_THREADS is left to win.
 if "OMP_NUM_THREADS" not in os.environ:
+    if "numpy" in sys.modules and "OPENBLAS_NUM_THREADS" not in os.environ:
+        warnings.warn("numpy was imported before slabrt, so its BLAS is not pinned to one "
+                      "thread; set OPENBLAS_NUM_THREADS=1 before starting Python", stacklevel=2)
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .dispersion import (

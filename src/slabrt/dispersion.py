@@ -128,34 +128,34 @@ def growth_rate(p: DensityProfile, c: SlabConfig, grid: SpectralGrid,
     reconstructed on first read (see ModeSolution), so a caller that keeps
     only the rate pays for no reconstruction.
     """
+    *_, drho, rising = _grams(p, c, grid)
+    safe = np.any(drho > 0.0) and (rising or c.mu >= critical_viscosity_closed_form(c))
+    return _solve(p, c, grid, xi, functools.partial(_coarse_mode, p, c, xi) if safe else None)
+
+
+def _solve(p: DensityProfile, c: SlabConfig, grid: SpectralGrid, xi: float, coarse=None,
+           what: str = "growth-rate fixed point") -> ModeSolution | None:
+    """growth_rate's answer at xi on grid, its fixed point started from coarse
+    as _nested_fixed_point does, failures named by what and xi."""
     fs = assemble_forms(p, c, grid, xi)
-    red = _ReducedPencil(fs.Jm, fs.Gm, fs.E2m, f"growth-rate fixed point at xi = {xi:g}")
-    safe = np.any(fs.drho_nodes > 0.0) and (
-        _grams(p, c, grid)[-1] or c.mu >= critical_viscosity_closed_form(c))
-    return _solve(fs, c, red, functools.partial(_coarse_mode, p, c, xi) if safe else None)
-
-
-def _solve(fs: FormSet, c: SlabConfig, red: _ReducedPencil, coarse=None) -> ModeSolution | None:
-    """growth_rate's answer on the forms fs, reduced in red, its fixed point
-    started from coarse as _nested_fixed_point does."""
-    what = red.what
-    lam, it = _nested_fixed_point(red.rayleigh_coefficients, what, fs.grid, coarse,
-                                  (fs.Jm, fs.Gm, fs.E2m))
+    what = f"{what} at xi = {xi:g}"
+    red = _ReducedPencil(fs.Jm, fs.Gm, fs.E2m, what)
+    lam, it, (aval, u) = _nested_fixed_point(red.rayleigh_coefficients, what, grid, coarse,
+                                             (fs.Jm, fs.Gm, fs.E2m))
     if lam is None:
         if c.mu >= critical_viscosity_closed_form(c):
             return None
         gamma = float(_lapack(what, sla.eigh, red.A1t, eigvals_only=True,
                               subset_by_index=[0, 0])[0])
-        if gamma >= 0.0 or gamma * gamma / 4.0 < red.solved[0]:  # alpha(0), its one solve
+        if gamma >= 0.0 or gamma * gamma / 4.0 < aval:  # alpha(0): None comes from the start at 0
             return None
         s0 = -0.5 * gamma
-        lam, steps = _rayleigh_fixed_point(red.rayleigh_coefficients, what, s0)
+        lam, steps, (aval, u) = _rayleigh_fixed_point(red.rayleigh_coefficients, what, s0)
         if lam is None:
             raise ConvergenceFailure(f"{what}: Gm is indefinite; no mode grows faster than "
                                      f"-gamma/2 = {s0:g}, but an oscillatory (complex) "
                                      f"mode may grow on (0, {s0:g})")
         it += 1 + steps
-    aval, u = red.solved  # the iteration ends at the point it last solved at
     return ModeSolution(lam=lam, psi=red.mode(u), fixed_point_res=abs(aval + lam * lam),
                         iters=it, forms=fs, slab=c)
 
@@ -163,9 +163,7 @@ def _solve(fs: FormSet, c: SlabConfig, red: _ReducedPencil, coarse=None) -> Mode
 def _coarse_mode(p: DensityProfile, c: SlabConfig, xi: float) -> np.ndarray | None:
     """growth_rate's mode at xi on the coarse grid as node values, or None,
     through no module attribute growth_rate, which callers may wrap."""
-    fs = assemble_forms(p, c, _coarse_grid(), xi)
-    red = _ReducedPencil(fs.Jm, fs.Gm, fs.E2m, f"coarse-grid fixed point at xi = {xi:g}")
-    ms = _solve(fs, c, red)
+    ms = _solve(p, c, _coarse_grid(), xi, what="coarse-grid fixed point")
     return None if ms is None else ms.psi_full()
 
 

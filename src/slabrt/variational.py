@@ -112,13 +112,12 @@ class _ReducedPencil:
         return float(vals[0]), self.mode(vecs[:, 0])
 
     def rayleigh_coefficients(self, s: float):
-        """(1, u' A1 u, u' A0 u) for the unit minimizer u at s: the coefficients
-        of the Rayleigh functional s^2 + (u' A1 u) s - u' A0 u.  The solve is
-        kept as solved = (theta, u)."""
+        """((1, u' A1 u, u' A0 u), (theta, u)) for the unit minimizer u at s and
+        its eigenvalue theta: the coefficients of the Rayleigh functional
+        s^2 + (u' A1 u) s - u' A0 u, then the solve."""
         vals, vecs = _lapack(self.what, sla.eigh, self._at(s), subset_by_index=[0, 0])
         u = vecs[:, 0]
-        self.solved = (float(vals[0]), u)
-        return 1.0, float(u @ self.A1t @ u), float(u @ self.A0t @ u)
+        return (1.0, float(u @ self.A1t @ u), float(u @ self.A0t @ u)), (float(vals[0]), u)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite pencil fails by name in _lapack
@@ -126,33 +125,35 @@ def _rayleigh_fixed_point(coefficients, what: str, t0: float = 0.0):
     """Growing root t* of a quadratic eigenproblem with a min-max
     characterization, by safeguarded iteration on its Rayleigh functional.
 
-    coefficients(t) returns (a, b, e), a > 0, for the extreme eigenvector
-    at t; the next t is the growing root of a t^2 + b t - e = 0.  By the
-    min-max property that root lies at or below t*, so from a start t0
-    below t* the iterates rise monotonically, converge quadratically and
-    need no bracket (Voss & Werner, Math. Meth. Appl. Sci. 4 (1982) 415).
+    coefficients(t) returns ((a, b, e), solve), a > 0, for the extreme
+    eigenvector at t and the eigensolve that gave it; the next t is the
+    growing root of a t^2 + b t - e = 0.  By the min-max property that root
+    lies at or below t*, so from a start t0 below t* the iterates rise
+    monotonically, converge quadratically and need no bracket (Voss &
+    Werner, Math. Meth. Appl. Sci. 4 (1982) 415).
     The iteration stops once the next point exceeds t by at most
     FIXED_POINT_TOL of itself, however small the root, which includes the
     stall at the roundoff floor; the test relies on the start lying below
     the root, since from above the first step would fall and stop at a mere
-    lower bound.  Returns (root, steps), steps the number of eigensolves and
-    root the last point solved at, t; (None, 1) when the start is not below
-    a root: a t0^2 + b t0 - e >= 0, which at t0 = 0 reads e <= 0 and means
-    no growing root where the functional increases on t >= 0.  A next point
+    lower bound.  Returns (root, steps, solve), steps the number of
+    eigensolves, root the last point solved at, t, and solve the eigensolve
+    there; (None, 1, solve at t0) when the start is not below a root:
+    a t0^2 + b t0 - e >= 0, which at t0 = 0 reads e <= 0 and means no
+    growing root where the functional increases on t >= 0.  A next point
     that over- or underflows raises ConvergenceFailure, not a false stop.
     """
     t = t0
     for steps in range(1, RAYLEIGH_CAP + 1):
-        a, b, e = coefficients(t)
+        (a, b, e), solve = coefficients(t)
         if steps == 1 and a * t * t + b * t - e >= 0.0:
-            return None, steps
+            return None, steps, solve
         nxt = _rayleigh_root(a, b, e)
         if nxt is None:  # only roundoff at the root can make it complex
-            return t, steps
+            return t, steps, solve
         if not 0.0 < nxt < math.inf:  # b * b overflowed, or the root underflowed
             raise ConvergenceFailure(f"{what}: the Rayleigh root over- or underflows to {nxt:g}")
         if nxt - t <= FIXED_POINT_TOL * nxt:
-            return t, steps
+            return t, steps, solve
         t = nxt
     raise ConvergenceFailure(f"{what} did not converge in {RAYLEIGH_CAP} steps")
 
@@ -178,7 +179,7 @@ def _nested_fixed_point(coefficients, what: str, grid: SpectralGrid, coarse, for
     vector's root lies at or below the fixed point.  The start is 0 when
     coarse raises ConvergenceFailure or EigensolveFailure or gives None, or
     the root is not a positive float; a start above 0 that is not below the
-    fixed point, (None, 1), restarts at 0, where alone None means no root.
+    fixed point, (None, 1, solve), restarts at 0, where alone None means no root.
     """
     t0 = 0.0
     try:
@@ -189,9 +190,9 @@ def _nested_fixed_point(coefficients, what: str, grid: SpectralGrid, coarse, for
         root = _rayleigh_root(*_quadratic(forms, grid._from_coarse @ u))
         t0 = 0.0 if root is None else (1.0 - _COARSE_SHIFT) * root
     if 0.0 < t0 < math.inf:
-        root, steps = _rayleigh_fixed_point(coefficients, what, t0)
-        if root is not None:
-            return root, steps
+        found = _rayleigh_fixed_point(coefficients, what, t0)
+        if found[0] is not None:
+            return found
     return _rayleigh_fixed_point(coefficients, what)
 
 
@@ -261,9 +262,10 @@ def critical_frequency(c: SlabConfig, grid: SpectralGrid) -> float:
     b >= 0, so it increases on t >= 0 and is negative just below its root,
     where h(t) > t; since h(t) < t for t > t*, every vector's root lies at or
     below t*.  Elsewhere, or when that start fails, the iteration starts at
-    t = 0.  The pencil is not reduced by mu M: that reduction loses accuracy
-    as n grows (relative fixed-point residuals up to 9e-8 at n = 256 on slip
-    walls, against 3e-10 here).
+    t = 0.  The pencil is not reduced by mu M: that loses accuracy as n grows
+    (|h(t*) - t*| / t* up to 9e-8 at n = 256 on slip walls, against roundoff
+    of 1.1e-9, 8.8e-9, 7.9e-9 here at n = 256, 384, 512 for mu = 0.5,
+    k0 = k1 = 6, and 4.8e-11, 2.4e-10, 1.9e-10 for mu = 0.02, k0 = 0.5, k1 = 1).
     """
     if c.mu >= critical_viscosity_closed_form(c):
         return 0.0
@@ -276,15 +278,14 @@ def _critical_point(c: SlabConfig, grid: SpectralGrid):
     grid; (None, None) when h(0) <= 0."""
     E0, K1, M = _slab_grams(c, grid)
     forms = (c.mu * M, 2.0 * c.mu * K1, -E0)
-    solved = [None]
 
     def coefficients(t: float):
-        _, solved[0] = pencil_extreme(forms[2], forms[1] + t * forms[0])
-        return _quadratic(forms, solved[0])
+        _, v = pencil_extreme(forms[2], forms[1] + t * forms[0])
+        return _quadratic(forms, v), v
 
-    t_star, _ = _nested_fixed_point(coefficients, "critical frequency", grid,
-                                    lambda: _critical_point(c, _coarse_grid())[1], forms)
-    return (None, None) if t_star is None else (t_star, np.pad(solved[0], 1))
+    t_star, _, v = _nested_fixed_point(coefficients, "critical frequency", grid,
+                                       lambda: _critical_point(c, _coarse_grid())[1], forms)
+    return (None, None) if t_star is None else (t_star, np.pad(v, 1))
 
 
 def bump_values(y: np.ndarray, center: float, width: float) -> np.ndarray:

@@ -16,15 +16,19 @@ SRC = str(Path(slabrt.__file__).resolve().parents[1])
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
-def _threads_after_import(**preset) -> str:
+def _python(code: str, **preset) -> subprocess.CompletedProcess:
+    """python -W error -c code with neither thread variable set but those in preset."""
     env = {k: v for k, v in os.environ.items()
            if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
     env.update(preset)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "import os, slabrt; print(os.environ.get('OPENBLAS_NUM_THREADS'))"],
-        env=env, capture_output=True, text=True, check=True, timeout=60)
+    return subprocess.run([sys.executable, "-W", "error", "-c", code],
+                          env=env, capture_output=True, text=True, timeout=60)
+
+
+def _threads_after_import(**preset) -> str:
+    out = _python("import os, slabrt; print(os.environ.get('OPENBLAS_NUM_THREADS'))", **preset)
+    assert out.returncode == 0, out.stderr
     return out.stdout.strip()
 
 
@@ -33,6 +37,20 @@ def _threads_after_import(**preset) -> str:
                                              ({"OMP_NUM_THREADS": "2"}, "None")])
 def test_import_pins_blas_unless_preset(preset, expected):
     assert _threads_after_import(**preset) == expected
+
+
+@pytest.mark.parametrize("code,preset,warns", [
+    ("import numpy, slabrt", {}, True),
+    ("import slabrt, numpy", {}, False),
+    ("import numpy, slabrt", {"OPENBLAS_NUM_THREADS": "1"}, False),
+], ids=["numpy-first", "slabrt-first", "numpy-first-preset"])
+def test_import_after_numpy_warns_that_the_pin_comes_too_late(code, preset, warns):
+    # OpenBLAS reads its thread count when numpy loads it, so slabrt's pin
+    # cannot take effect after that unless the variable was already set
+    out = _python(code, **preset)
+    assert (out.returncode != 0) == warns, out.stderr
+    if warns:
+        assert "UserWarning" in out.stderr and "set OPENBLAS_NUM_THREADS=1" in out.stderr
 
 
 def _evolve_outputs(out: Path) -> tuple:

@@ -699,10 +699,8 @@ def test_scan_builds_the_dissipation_form_once(profile_up, default_config, grid6
 
 
 def _from_zero(p, c, grid, xi):
-    """growth_rate's answer with its fixed point started at 0 on the same reduction."""
-    fs = assemble_forms(p, c, grid, xi)
-    red = _ReducedPencil(fs.Jm, fs.Gm, fs.E2m, f"growth-rate fixed point at xi = {xi:g}")
-    return slabrt.dispersion._solve(fs, c, red)
+    """growth_rate's answer with its fixed point started at 0."""
+    return slabrt.dispersion._solve(p, c, grid, xi)
 
 
 @pytest.mark.parametrize("n", [64, 128])

@@ -63,7 +63,7 @@ def test_no_slip_limit(grid64, profile_up):
     fs = assemble_forms(profile_up, SlabConfig(mu=0.01), grid64, 2.0)
     N = sla.null_space(np.vstack(slope_traces(grid64)))
     red = _ReducedPencil(*(N.T @ A @ N for A in (fs.Jm, fs.Gm, fs.E2m)))
-    lam_d, _ = _rayleigh_fixed_point(red.rayleigh_coefficients, "no-slip rate")
+    lam_d, _, _ = _rayleigh_fixed_point(red.rayleigh_coefficients, "no-slip rate")
     assert lam_d == pytest.approx(0.30067626457, abs=1e-9)
     ks = (10.0, 1.0, 0.0, -1.0, -10.0, -100.0, -1e3, -1e4)
     lams = [growth_rate(profile_up, SlabConfig(mu=0.01, k0=k, k1=k), grid64, 2.0).lam

@@ -493,7 +493,7 @@ def test_rayleigh_fixed_point_diagonal_pencil(monkeypatch):
 
     monkeypatch.setattr("slabrt.variational._rayleigh_root", record)
     red = _ReducedPencil(np.eye(2), np.diag([4.0, -0.5]), np.diag([6.0, 3.0]))
-    root, steps = _rayleigh_fixed_point(red.rayleigh_coefficients, "test root")
+    root, steps, _ = _rayleigh_fixed_point(red.rayleigh_coefficients, "test root")
     assert root == pytest.approx(2.0, rel=1e-15)
     assert steps == 3
     assert roots[0] == pytest.approx(np.sqrt(10.0) - 2.0, rel=1e-15)
@@ -555,7 +555,7 @@ def test_unit_scales_to_the_b_norm_and_signs_by_the_largest_entry():
 
 def test_rayleigh_fixed_point_rejects_nonnegative_alpha0():
     red = _ReducedPencil(np.eye(2), np.diag([1.0, 2.0]), np.diag([-1.0, 0.0]))
-    assert _rayleigh_fixed_point(red.rayleigh_coefficients, "test root") == (None, 1)
+    assert _rayleigh_fixed_point(red.rayleigh_coefficients, "test root")[:2] == (None, 1)
 
 
 def test_rayleigh_fixed_point_from_a_later_start():
@@ -563,10 +563,10 @@ def test_rayleigh_fixed_point_from_a_later_start():
     # F(2) = -3 < 0 and the root above it is 2 + sqrt(3); F(4) = 1 >= 0
     # rejects that start as it rejects t = 0
     red = _ReducedPencil(np.eye(2), np.diag([-4.0, 1.0]), np.diag([-1.0, 0.0]))
-    assert _rayleigh_fixed_point(red.rayleigh_coefficients, "test root") == (None, 1)
-    root, _ = _rayleigh_fixed_point(red.rayleigh_coefficients, "test root", 2.0)
+    assert _rayleigh_fixed_point(red.rayleigh_coefficients, "test root")[:2] == (None, 1)
+    root, _, _ = _rayleigh_fixed_point(red.rayleigh_coefficients, "test root", 2.0)
     assert root == pytest.approx(2.0 + np.sqrt(3.0), rel=1e-15)
-    assert _rayleigh_fixed_point(red.rayleigh_coefficients, "test root", 4.0) == (None, 1)
+    assert _rayleigh_fixed_point(red.rayleigh_coefficients, "test root", 4.0)[:2] == (None, 1)
 
 
 @pytest.mark.parametrize("b", [1e200, -1e200])
@@ -575,4 +575,39 @@ def test_rayleigh_fixed_point_rejects_an_overflowing_root(b):
     # the start t = 0 either would read as convergence to a zero rate
     with pytest.raises(ConvergenceFailure,
                        match=r"^test root: the Rayleigh root over- or underflows to (0|inf)$"):
-        _rayleigh_fixed_point(lambda t: (1.0, b, 1.0), "test root")
+        _rayleigh_fixed_point(lambda t: ((1.0, b, 1.0), None), "test root")
+
+
+def test_rayleigh_fixed_point_returns_the_solve_at_the_root():
+    # the eigensolve the iteration stopped at is the one at the root, so its
+    # eigenvalue is alpha(root) = -root^2
+    red = _ReducedPencil(np.eye(2), np.diag([4.0, -0.5]), np.diag([6.0, 3.0]))
+    root, _, (theta, _) = _rayleigh_fixed_point(red.rayleigh_coefficients, "test root")
+    assert abs(theta + root * root) <= 1e-12 * max(1.0, root * root)
+
+
+@pytest.mark.parametrize("t0", [0.0, 4.0])
+def test_rayleigh_fixed_point_returns_the_solve_at_a_rejected_start(t0):
+    # a rejected start returns its one solve, at t0, where F(t0) = t0^2 + theta >= 0
+    red = _ReducedPencil(np.eye(2), np.diag([-4.0, 1.0]), np.diag([-1.0, 0.0]))
+    root, steps, (theta, _) = _rayleigh_fixed_point(red.rayleigh_coefficients, "test root", t0)
+    assert (root, steps) == (None, 1)
+    assert t0 * t0 + theta >= 0.0
+    assert theta == red.rayleigh_coefficients(t0)[1][0]
+
+
+def test_fixed_point_solves_leave_no_state_behind():
+    # the Rayleigh fixed point returns its last eigensolve: no method of
+    # _ReducedPencil but __init__ assigns to self, and _critical_point keeps
+    # no mutable cell for its coefficients to fill
+    path = Path(__file__).resolve().parent.parent / "src" / "slabrt" / "variational.py"
+    tree = ast.parse(path.read_text())
+    cls, = (n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "_ReducedPencil")
+    for fn in cls.body:
+        if isinstance(fn, ast.FunctionDef) and fn.name != "__init__":
+            for n in ast.walk(fn):
+                assert not (isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store)
+                            and getattr(n.value, "id", None) == "self"), (fn.name, n.lineno)
+    fn, = (n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_critical_point")
+    assert not any(isinstance(n, (ast.List, ast.Dict, ast.Set, ast.Nonlocal, ast.Global))
+                   for n in ast.walk(fn))
